@@ -2,8 +2,9 @@
 
 Each subcommand reruns one numerical study end to end and drops a CSV
 table plus a JSON summary into the output directory. Given the same
-config and seed the CSV bytes are identical run to run regardless of
-worker count; wall-clock time lives only in the JSON.
+config and seed the CSV bytes are identical run to run; wall-clock time
+lives only in the JSON. The workers setting is accepted for compatibility
+and has no effect.
 
 Exit codes: 0 ok, 2 bad config or usage, 3 verify found a failing
 criterion, 4 could not write output.
@@ -123,10 +124,6 @@ def _rng(cfg: ExperimentConfig, slot: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _workers(cfg: ExperimentConfig):
-    return cfg.workers if cfg.workers > 0 else None
-
-
 def _run_weyl(cfg: ExperimentConfig):
     model = _model(cfg)
     alpha = mf.weyl_constants(model).alpha_n
@@ -235,7 +232,7 @@ def _run_supnorm(cfg: ExperimentConfig):
     flags = {}
     for lam in _lams(cfg):
         est = wv.expected_sup(model, lam, cfg.samples, cfg.grid_density,
-                              cfg.seed, workers=_workers(cfg))
+                              cfg.seed)
         bound = wv.sup_norm_bound(model, lam)
         ratio = est.mean / math.sqrt(math.log(lam)) if lam > 1 else math.nan
         rows.append((cfg.kind, lam, est.mean, est.std_error, est.samples,
@@ -261,9 +258,9 @@ def _run_dudley(cfg: ExperimentConfig):
     curve = en.covering_curve(substrate, dist, eps)
     report = en.dudley_report(curve)
     signed = wv.expected_sup(model, lam, cfg.samples, cfg.grid_density,
-                             cfg.seed, workers=_workers(cfg), statistic="max")
+                             cfg.seed, statistic="max")
     absolute = wv.expected_sup(model, lam, cfg.samples, cfg.grid_density,
-                               cfg.seed, workers=_workers(cfg), statistic="abs")
+                               cfg.seed, statistic="abs")
     bound = wv.sup_norm_bound(model, lam)
     rows = [(e, n) for e, n in curve.entries]
     header = ("epsilon", "net_size")
@@ -338,12 +335,13 @@ def _run_verify(cfg: ExperimentConfig):
     from . import acceptance
 
     results = acceptance.run_all()
-    rows = [(r.index, r.title, "pass" if r.passed else "FAIL",
-             round(r.seconds, 3), r.detail) for r in results]
+    rows = [(r.index, r.title, "pass" if r.passed else "FAIL", r.detail)
+            for r in results]
     flags = {f"criterion_{r.index}": r.passed for r in results}
-    header = ("index", "title", "status", "seconds", "detail")
+    header = ("index", "title", "status", "detail")
     return header, rows, {"passed": sum(r.passed for r in results),
-                          "total": len(results)}, flags
+                          "total": len(results),
+                          "seconds": {str(r.index): r.seconds for r in results}}, flags
 
 
 _RUNNERS = {
@@ -429,7 +427,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-count", type=int, default=None)
     p.add_argument("--a-values", default=None, help="comma-separated a list")
     p.add_argument("--out", default=None)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None,
+                   help="accepted for compatibility; has no effect")
     return p
 
 

@@ -9,13 +9,17 @@ Sup norms are estimated on a ladder of quasi-uniform grids (densities 4,
 refinement step around each level's argmax. Running every ladder level,
 and keeping every level's refinement candidates, makes the estimate
 monotone nondecreasing in the requested density.
+
+On the torus each level is a product grid of c points per axis, where a
+mode of frequency 2 pi k / L has phase 2 pi k.j / c at node j, so a level's
+values are one inverse FFT of the coefficients placed at k mod c (exact
+for any c). On the sphere each level is a Fibonacci grid scanned by
+multiplying mode matrices, cached while they fit in memory.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,24 +106,33 @@ def _ladder(density: float) -> list[float]:
     return levels
 
 
+def _torus_counts(model: ManifoldModel, spacing: float) -> tuple[int, ...]:
+    return tuple(max(1, math.ceil(L / spacing)) for L in model.side_lengths)
+
+
 def _grid_for_spacing(model: ManifoldModel, spacing: float) -> np.ndarray:
     if model.kind == SPHERE2:
         count = max(16, math.ceil(4.0 * math.pi * (FIB_OVERSAMPLE / spacing) ** 2))
         return mf._fibonacci_coords(count)
     axes = [np.arange(c) * (L / c)
-            for L, c in ((L, max(1, math.ceil(L / spacing)))
-                         for L in model.side_lengths)]
+            for L, c in zip(model.side_lengths, _torus_counts(model, spacing))]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
+# sphere: grid points per mode-matrix chunk; torus: lattice entries per
+# block of waves in one inverse FFT
 _CHUNK = 1 << 16
-# chunk matrices stay resident across waves only below this entry count
+# sphere chunk matrices stay resident across waves only below this entry count
 _CACHE_LIMIT = 40_000_000
 
 
 class _SupLevels:
-    """Grids for one band; mode matrices cached when they fit in memory."""
+    """Grids for one band and the scan of each level.
+
+    Torus levels are synthesised by inverse FFT; sphere levels multiply
+    mode matrices, cached when they fit in memory.
+    """
 
     def __init__(self, band: Band, density: float):
         self.band = band
@@ -129,7 +142,8 @@ class _SupLevels:
         self.coords = [_grid_for_spacing(self.model, s) for s in self.spacings]
         self.grid_points = sum(len(C) for C in self.coords)
         self._cache = None
-        if self.grid_points * band.m_lambda <= _CACHE_LIMIT:
+        if (self.model.kind == SPHERE2
+                and self.grid_points * band.m_lambda <= _CACHE_LIMIT):
             self._cache = [self._built_chunks(C) for C in self.coords]
 
     def _built_chunks(self, C: np.ndarray) -> list[np.ndarray]:
@@ -180,25 +194,57 @@ class _SupLevels:
             best = max(best, float(self._values_at(pts, coeffs, use_abs).max()))
         return best
 
-    def batch_sups(self, A: np.ndarray, use_abs: bool = True,
-                   workers: int | None = None) -> np.ndarray:
+    def _matrix_level_peaks(self, li: int, A: np.ndarray, use_abs: bool):
+        n_waves = A.shape[1]
+        lvl_val = np.full(n_waves, -np.inf)
+        lvl_pt = np.zeros((n_waves, self.coords[li].shape[1]))
+        for ch, M in self._level_chunks(li):
+            V = M @ A
+            if use_abs:
+                np.abs(V, out=V)
+            j = V.argmax(axis=0)
+            v = V[j, np.arange(n_waves)]
+            upd = v > lvl_val
+            lvl_val[upd] = v[upd]
+            lvl_pt[upd] = ch[j[upd]]
+        return lvl_val, lvl_pt
+
+    def _fft_level_peaks(self, li: int, A: np.ndarray, use_abs: bool):
+        counts = _torus_counts(self.model, self.spacings[li])
+        size = math.prod(counts)
+        labels = [mode.label for mode in self.band.modes]
+        K = np.array([k for k, _ in labels])
+        at = np.ravel_multi_index(tuple((K % np.array(counts)).T), counts)
+        # a cos(theta) + b sin(theta) = Re((a - i b) e^{i theta})
+        Z = A.T * np.array([1.0 if flavor == "cos" else -1j for _, flavor in labels])
+        scale = size * math.sqrt(2.0 / self.model.volume)
+        axes = tuple(range(1, len(counts) + 1))
+        n_waves = A.shape[1]
+        lvl_val = np.empty(n_waves)
+        j = np.empty(n_waves, dtype=np.intp)
+        block = max(1, _CHUNK // size)
+        for b in range(0, n_waves, block):
+            zb = Z[b:b + block]
+            lattice = np.zeros((len(zb), size), dtype=complex)
+            np.add.at(lattice, (slice(None), at), zb)
+            V = np.fft.ifftn(lattice.reshape(len(zb), *counts), axes=axes).real
+            V = V.reshape(len(zb), size) * scale
+            if use_abs:
+                np.abs(V, out=V)
+            j[b:b + block] = V.argmax(axis=1)
+            lvl_val[b:b + block] = V[np.arange(len(zb)), j[b:b + block]]
+        return lvl_val, self.coords[li][j]
+
+    def batch_sups(self, A: np.ndarray, use_abs: bool = True) -> np.ndarray:
         """Sups for coefficient columns of A; grid scan batched, refinement per wave."""
         n_waves = A.shape[1]
+        level_peaks = (self._matrix_level_peaks if self.model.kind == SPHERE2
+                       else self._fft_level_peaks)
         total = np.full(n_waves, -np.inf)
         # (value, point, spacing) of each level's peak, per wave
         peaks = [[] for _ in range(n_waves)]
         for li in range(len(self.coords)):
-            lvl_val = np.full(n_waves, -np.inf)
-            lvl_pt = np.zeros((n_waves, self.coords[li].shape[1]))
-            for ch, M in self._level_chunks(li):
-                V = M @ A
-                if use_abs:
-                    np.abs(V, out=V)
-                j = V.argmax(axis=0)
-                v = V[j, np.arange(n_waves)]
-                upd = v > lvl_val
-                lvl_val[upd] = v[upd]
-                lvl_pt[upd] = ch[j[upd]]
+            lvl_val, lvl_pt = level_peaks(li, A, use_abs)
             np.maximum(total, lvl_val, out=total)
             for si in range(n_waves):
                 peaks[si].append((float(lvl_val[si]), lvl_pt[si], self.spacings[li]))
@@ -209,11 +255,6 @@ class _SupLevels:
                 best = max(best, self._refined_max(pt, f0, h, A[:, si], use_abs))
             return float(best)
 
-        n_workers = workers if workers else min(n_waves, os.cpu_count() or 1)
-        if n_workers > 1 and n_waves > 1:
-            with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                return np.fromiter(pool.map(refine, range(n_waves)), dtype=float,
-                                   count=n_waves)
         return np.fromiter((refine(si) for si in range(n_waves)), dtype=float,
                            count=n_waves)
 
@@ -240,8 +281,7 @@ def sup_norm(wave: RandomWave, grid_density: float) -> float:
     grid_density; the result never decreases when grid_density grows.
     """
     levels = _levels_for(wave.band, grid_density)
-    return float(levels.batch_sups(wave.coefficients[:, None], use_abs=True,
-                                   workers=1)[0])
+    return float(levels.batch_sups(wave.coefficients[:, None], use_abs=True)[0])
 
 
 def expected_sup(model: ManifoldModel, lam: float, n_samples: int,
@@ -251,8 +291,9 @@ def expected_sup(model: ManifoldModel, lam: float, n_samples: int,
 
     statistic "abs" estimates E sup|wave| (the sup norm); "max" estimates
     E sup wave without the absolute value. Waves are keyed by sample index,
-    and the reduction runs in index order, so the result is identical for
-    any worker count.
+    and the reduction runs in index order. workers is accepted for
+    compatibility and has no effect: every wave is scanned and refined in
+    this thread.
     """
     if n_samples < 2:
         raise ValueError(f"need n_samples >= 2, got {n_samples}")
@@ -264,7 +305,7 @@ def expected_sup(model: ManifoldModel, lam: float, n_samples: int,
     levels = _levels_for(band, grid_density)
     A = np.stack([sample_wave(band, seed, i).coefficients
                   for i in range(n_samples)], axis=1)
-    sups = levels.batch_sups(A, use_abs=statistic == "abs", workers=workers)
+    sups = levels.batch_sups(A, use_abs=statistic == "abs")
     return SupNormEstimate(mean=float(sups.mean()),
                            std_error=float(sups.std(ddof=1) / math.sqrt(n_samples)),
                            samples=n_samples,

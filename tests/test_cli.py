@@ -140,3 +140,20 @@ def test_weyl_known_row(tmp_path):
     assert lookup["quantity"] == "count"
     assert float(lookup["value"]) == 99.0
     assert float(lookup["prediction"]) == pytest.approx(100.0)
+
+
+def test_verify_csv_has_no_timings(tmp_path, monkeypatch):
+    def fake_results(seconds):
+        return [acceptance.CriterionResult(index=i, title=f"t{i}", passed=True,
+                                           detail="ok", seconds=seconds * i,
+                                           budget_s=10.0)
+                for i in (1, 2)]
+    for run_idx, seconds in enumerate((0.25, 1.5)):
+        monkeypatch.setattr(acceptance, "run_all",
+                            lambda only=None, s=seconds: fake_results(s))
+        assert _run(["verify", "--out", str(tmp_path / str(run_idx))]) == 0
+    csvs = [_newest(tmp_path / str(i), ".csv").read_bytes() for i in (0, 1)]
+    assert csvs[0] == csvs[1]
+    assert b"seconds" not in csvs[0]
+    report = json.loads(_newest(tmp_path / "1", ".json").read_text())
+    assert report["summary"]["seconds"] == {"1": 1.5, "2": 3.0}

@@ -109,8 +109,12 @@ def test_band_ids_and_model():
 @settings(max_examples=25, deadline=None)
 @given(st.floats(min_value=1.0, max_value=40.0))
 def test_band_dimension_positive_and_windowed(lam):
+    # sphere frequencies sqrt(l(l+1)) are more than 1 apart, so some bands
+    # are empty: a band is nonempty exactly when a degree lies in its window
     band = sp.enumerate_band(SPHERE, lam)
-    assert band.m_lambda >= 1
+    degree_in_window = any(lam < math.sqrt(l * (l + 1)) <= lam + 1.0
+                           for l in range(math.ceil(lam) + 2))
+    assert (band.m_lambda >= 1) == degree_in_window
     assert band.m_lambda == len(band.modes)
     assert all(lam < m.mu <= lam + 1.0 for m in band.modes)
 

@@ -123,3 +123,56 @@ def test_sup_norm_bound_values():
 def test_mean_sup_below_bound():
     est = wv.expected_sup(SPHERE, 20.0, 20, 6.0, seed=12)
     assert est.mean <= wv.sup_norm_bound(SPHERE, 20.0).general
+
+
+def _brute_force_sups(levels, A, use_abs):
+    # every level scanned by mode_matrix @ coefficients, refined as the engine does
+    sups = []
+    for si in range(A.shape[1]):
+        best = -np.inf
+        for C, h in zip(levels.coords, levels.spacings):
+            v = bs.mode_matrix(levels.model, levels.band.modes, C) @ A[:, si]
+            if use_abs:
+                v = np.abs(v)
+            j = int(v.argmax())
+            best = max(best, float(v[j]),
+                       levels._refined_max(C[j], float(v[j]), h, A[:, si], use_abs))
+        sups.append(best)
+    return np.array(sups)
+
+
+@pytest.mark.parametrize("sides,lam,density", [
+    ((2.0 * math.pi, 3.7), 12.0, 6.0),
+    ((2.0 * math.pi,), 30.0, 8.0),
+    ((2.0, 2.5, 3.0), 3.0, 6.0),
+])
+@pytest.mark.parametrize("use_abs", [True, False])
+def test_torus_fft_scan_matches_mode_matrix_scan(sides, lam, density, use_abs):
+    model = mf.flat_torus(sides)
+    band = sp.enumerate_band(model, lam)
+    A = np.stack([wv.sample_wave(band, 21, i).coefficients for i in range(6)], axis=1)
+    levels = wv._SupLevels(band, density)
+    got = levels.batch_sups(A, use_abs=use_abs)
+    want = _brute_force_sups(levels, A, use_abs)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_torus_sup_norm_monotone_in_density():
+    model = mf.flat_torus((2.0 * math.pi, 3.7))
+    band = sp.enumerate_band(model, 15.0)
+    w = wv.sample_wave(band, 6, 3)
+    s = [wv.sup_norm(w, d) for d in (4.0, 8.0, 16.0, 32.0)]
+    assert s == sorted(s)
+
+
+def test_torus_wave_blocks_do_not_change_sups(monkeypatch):
+    band = sp.enumerate_band(TORUS, 9.0)
+    A = np.stack([wv.sample_wave(band, 4, i).coefficients for i in range(7)], axis=1)
+    levels = wv._SupLevels(band, 8.0)
+    largest = max(len(C) for C in levels.coords)
+    monkeypatch.setattr(wv, "_CHUNK", 7 * largest)
+    single = levels.batch_sups(A)
+    # two waves per block on the finest level, more on the coarser ones
+    monkeypatch.setattr(wv, "_CHUNK", 2 * largest)
+    blocked = levels.batch_sups(A)
+    assert np.array_equal(blocked, single)
