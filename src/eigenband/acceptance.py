@@ -74,7 +74,7 @@ def _crit_2():
             VX = bs.mode_matrix(model, band.modes, X)
             VY = bs.mode_matrix(model, band.modes, Y)
             coord = np.linalg.norm(VX - VY, axis=1) / band.k_lambda
-            kernel = em._pair_dist(emb, X, Y)
+            kernel = em.CanonicalDistance(emb).rows(X, Y)
             dev = float(np.max(np.abs(coord - kernel)))
             if dev > worst:
                 worst, where = dev, f"{model.kind} lam={lam:g}"
@@ -108,8 +108,8 @@ def _crit_4():
         rng = _rng(410 + i)
         X = np.stack([mf.uniform_sample(sphere, rng).coords for _ in range(10000)])
         Y = np.stack([mf.uniform_sample(sphere, rng).coords for _ in range(10000)])
-        dl = em._pair_dist(emb, X, Y)
-        dg = em._pair_dg(sphere, X, Y)
+        dl = em.CanonicalDistance(emb).rows(X, Y)
+        dg = mf.geodesic_rows(sphere, X, Y)
         keep = dg > 1e-12
         fresh = float(np.max(dl[keep] / (lam * dg[keep])))
         fresh_ok = fresh_ok and fresh <= scans[lam]

@@ -8,59 +8,37 @@ orthonormal tangent frame of manifold.tangent_frame.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import manifold as mf
-from .manifold import FLAT_TORUS, SPHERE2, ManifoldModel, Point
+from .manifold import SPHERE2, ManifoldModel, Point
+from .specfun import INV_SQRT_4PI, assoc_legendre_upward
 from .spectrum import Band, Mode
 
 __all__ = [
-    "ModeValue",
     "eval_mode",
     "grad_mode",
-    "mode_value",
     "mode_matrix",
     "gradient_matrix",
     "orthonormality_check",
 ]
 
-_INV_SQRT_4PI = 0.5 / math.sqrt(math.pi)
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class ModeValue:
-    value: float
-    gradient: np.ndarray
-
-
 # ---------------------------------------------------------------------------
-# normalized associated Legendre machinery, vectorized over points
-
-
-def _upward(l: int, m: int, t: np.ndarray, seed: np.ndarray):
-    """Climb the degree recurrence from (m, m) seed; returns rows at l and l-1."""
-    if l == m:
-        return seed, np.zeros_like(seed)
-    p_prev = seed
-    p = math.sqrt(2 * m + 3.0) * t * p_prev
-    for k in range(m + 2, l + 1):
-        a = math.sqrt((4.0 * k * k - 1.0) / (k * k - m * m))
-        b = math.sqrt(((k - 1.0) ** 2 - m * m) / (4.0 * (k - 1.0) ** 2 - 1.0))
-        p, p_prev = a * (t * p - b * p_prev), p
-    return p, p_prev
+# normalized associated Legendre rows, vectorized over points
 
 
 def _degree_value_rows(l: int, t: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Rows m = 0..l of the fully normalized P at degree l."""
     rows = np.empty((l + 1, t.size))
-    diag = np.full(t.size, _INV_SQRT_4PI)
+    diag = np.full(t.size, INV_SQRT_4PI)
     for m in range(l + 1):
         if m > 0:
             diag = diag * math.sqrt((2 * m + 1) / (2.0 * m)) * s
-        rows[m], _ = _upward(l, m, t, diag)
+        rows[m], _ = assoc_legendre_upward(l, m, t, diag)
     return rows
 
 
@@ -74,11 +52,11 @@ def _degree_gradient_rows(l: int, t: np.ndarray, s: np.ndarray):
     dtheta = np.empty((l + 1, t.size))
     over_s = np.zeros((l + 1, t.size))
     # m = 0 from the m = 1 value row: d/dtheta Pbar_l^0 = -sqrt(l(l+1)) Pbar_l^1
-    diag = np.full(t.size, _INV_SQRT_4PI * math.sqrt(3.0 / 2.0))
+    diag = np.full(t.size, INV_SQRT_4PI * math.sqrt(3.0 / 2.0))
     for m in range(1, l + 1):
         if m > 1:
             diag = diag * math.sqrt((2 * m + 1) / (2.0 * m)) * s
-        r_l, r_lm1 = _upward(l, m, t, diag)
+        r_l, r_lm1 = assoc_legendre_upward(l, m, t, diag)
         over_s[m] = r_l
         c = math.sqrt((l * l - m * m) * (2.0 * l + 1.0) / (2.0 * l - 1.0)) if l > m else 0.0
         dtheta[m] = l * t * r_l - c * r_lm1
@@ -127,10 +105,10 @@ def _sphere_value_matrix(modes, coords: np.ndarray) -> np.ndarray:
 
 def _torus_omegas(model: ManifoldModel, modes) -> tuple[np.ndarray, np.ndarray]:
     """Frequency vectors (m x n) and a boolean cos-flavor mask."""
-    L = np.array(model.side_lengths)
-    W = np.array([2.0 * math.pi * np.array(mode.label[0]) / L for mode in modes])
-    is_cos = np.array([mode.label[1] == "cos" for mode in modes])
-    return W, is_cos
+    labels = [mode.label for mode in modes]
+    K = np.array([k for k, _ in labels])
+    is_cos = np.array([flavor == "cos" for _, flavor in labels])
+    return 2.0 * math.pi * K / np.array(model.side_lengths), is_cos
 
 
 def _torus_value_matrix(model: ManifoldModel, modes, coords: np.ndarray) -> np.ndarray:
@@ -205,11 +183,6 @@ def grad_mode(model: ManifoldModel, mode: Mode, x: Point) -> np.ndarray:
     return gradient_matrix(model, [mode], x)[0]
 
 
-def mode_value(model: ManifoldModel, mode: Mode, x: Point) -> ModeValue:
-    return ModeValue(value=eval_mode(model, mode, x),
-                     gradient=grad_mode(model, mode, x))
-
-
 def _check_mode(model: ManifoldModel, mode: Mode):
     if model.kind == SPHERE2:
         if not (isinstance(mode.label[0], int) and isinstance(mode.label[1], int)):
@@ -239,9 +212,7 @@ def _sphere_quadrature(n_theta: int, n_phi: int):
 
 
 def _torus_quadrature(model: ManifoldModel, n_axis: int):
-    axes = [np.arange(n_axis) * (L / n_axis) for L in model.side_lengths]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    coords = np.stack([m.ravel() for m in mesh], axis=1)
+    coords = mf.product_grid(model, (n_axis,) * model.dim)
     w = np.full(len(coords), model.volume / len(coords))
     return coords, w
 

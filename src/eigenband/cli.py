@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -379,31 +380,36 @@ def _cell(v):
     return v
 
 
-def _out_paths(out_dir: str, subcommand: str):
+def _create_outputs(out_dir: str, subcommand: str):
+    """Open a new CSV and JSON pair exclusively, adding -k on a name clash."""
     stamp = time.strftime("%Y%m%d-%H%M%S")
-    base = os.path.join(out_dir, f"{subcommand}-{stamp}")
-    k = 0
-    while os.path.exists(f"{base}.csv") or os.path.exists(f"{base}.json"):
-        k += 1
-        base = os.path.join(out_dir, f"{subcommand}-{stamp}-{k}")
-    return f"{base}.csv", f"{base}.json"
+    for k in itertools.count():
+        base = os.path.join(out_dir, f"{subcommand}-{stamp}" + (f"-{k}" if k else ""))
+        try:
+            csv_fh = open(f"{base}.csv", "x", newline="")
+        except FileExistsError:
+            continue
+        try:
+            return csv_fh, open(f"{base}.json", "x")
+        except FileExistsError:
+            csv_fh.close()
+            os.remove(csv_fh.name)
 
 
 def emit_report(report: Report, header, rows) -> Report:
     """Write the CSV table and JSON summary; fills report.csv_path."""
     out_dir = report.config["out"]
     os.makedirs(out_dir, exist_ok=True)
-    csv_path, json_path = _out_paths(out_dir, report.experiment)
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+    csv_fh, json_fh = _create_outputs(out_dir, report.experiment)
+    with csv_fh, json_fh:
+        writer = csv.writer(csv_fh)
         writer.writerow(header)
         for row in rows:
             writer.writerow([_cell(v) for v in row])
-    report.csv_path = csv_path
-    payload = dataclasses.asdict(report)
-    with open(json_path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_cell)
-        fh.write("\n")
+        report.csv_path = csv_fh.name
+        json.dump(dataclasses.asdict(report), json_fh, indent=2, sort_keys=True,
+                  default=_cell)
+        json_fh.write("\n")
     return report
 
 

@@ -13,7 +13,7 @@ invariance on the torus; the naive mode sums stay available as oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -21,7 +21,7 @@ import numpy as np
 from . import basis as bs
 from . import manifold as mf
 from .manifold import SPHERE2, ManifoldModel, Point
-from .spectrum import Band, enumerate_band, k_lambda, mean_frequency
+from .spectrum import Band, band_terms, enumerate_band, k_lambda, mean_frequency
 from .specfun import legendre_weighted_sum, radial_profile
 
 __all__ = [
@@ -49,8 +49,11 @@ FD_STEP_SCALE = 3e-3
 
 @dataclass(frozen=True)
 class Embedding:
+    """A band and its model; terms feeds the addition-theorem kernel."""
+
     band: Band
     model: ManifoldModel
+    terms: np.ndarray = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -71,7 +74,8 @@ def make_embedding(model: ManifoldModel, lam: float) -> Embedding:
         k = k_lambda(band.m_lambda)
         if abs(k - band.k_lambda) > 1e-12 * k:
             raise AssertionError("stored band normalization is stale")
-    return Embedding(band=band, model=model)
+    return Embedding(band=band, model=model,
+                     terms=_kernel_terms(model, band.lam, band.lam + 1.0))
 
 
 def _require_modes(embedding: Embedding) -> Band:
@@ -84,35 +88,24 @@ def _require_modes(embedding: Embedding) -> Band:
 # kernels
 
 
-def _sphere_band_weights(band: Band) -> np.ndarray:
-    degrees = sorted({mode.label[0] for mode in band.modes})
-    w = np.zeros(degrees[-1] + 1)
-    for l in degrees:
-        w[l] = (2 * l + 1) / (4.0 * math.pi)
-    return w
-
-
-def _torus_half_space(model: ManifoldModel, band: Band) -> np.ndarray:
-    """One frequency row per cos/sin pair."""
-    L = np.array(model.side_lengths)
-    seen = []
-    keys = set()
-    for mode in band.modes:
-        if mode.label[0] not in keys:
-            keys.add(mode.label[0])
-            seen.append(mode.label[0])
-    return np.array([2.0 * math.pi * np.array(k) / L for k in seen])
-
-
-def _kernel_rows(embedding: Embedding, xc: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """E(x, C_i) for one point against many, by the fast path."""
-    band = _require_modes(embedding)
-    model = embedding.model
+def _kernel_terms(model: ManifoldModel, lo: float, hi: float) -> np.ndarray:
+    """Sphere: Legendre weights (2l+1)/(4 pi) by degree, zero outside (lo, hi].
+    Torus: one frequency row 2 pi k / L per cos/sin pair."""
+    K = band_terms(model, lo, hi)
     if model.kind == SPHERE2:
-        cosd = np.clip(C @ xc, -1.0, 1.0)
-        return legendre_weighted_sum(_sphere_band_weights(band), cosd)
-    W = _torus_half_space(model, band)
-    return (2.0 / model.volume) * np.cos((C - xc) @ W.T).sum(axis=1)
+        w = np.zeros(int(K.max(initial=0)) + 1)
+        w[K] = (2 * K + 1) / (4.0 * math.pi)
+        return w
+    return 2.0 * math.pi * K / np.array(model.side_lengths)
+
+
+def _kernel(model: ManifoldModel, terms: np.ndarray, X: np.ndarray,
+            Y: np.ndarray) -> np.ndarray:
+    """Projector kernel by the addition theorem (sphere) or translation invariance
+    (torus): one point X against the rows of Y, or two stacks row by row."""
+    if model.kind == SPHERE2:
+        return legendre_weighted_sum(terms, mf.sphere_cosines(X, Y))
+    return (2.0 / model.volume) * np.cos((Y - X) @ terms.T).sum(axis=-1)
 
 
 def band_kernel(embedding: Embedding, x: Point, y: Point, method: str = "fast") -> float:
@@ -122,7 +115,7 @@ def band_kernel(embedding: Embedding, x: Point, y: Point, method: str = "fast") 
     xc = mf.check_point(model, x)
     yc = mf.check_point(model, y)
     if method == "fast":
-        return float(_kernel_rows(embedding, xc, yc[None, :])[0])
+        return float(_kernel(model, embedding.terms, xc, yc[None, :])[0])
     if method == "naive":
         vals = bs.mode_matrix(model, band.modes, np.stack([xc, yc]))
         return float(vals[0] @ vals[1])
@@ -132,31 +125,22 @@ def band_kernel(embedding: Embedding, x: Point, y: Point, method: str = "fast") 
 def cumulative_kernel(model: ManifoldModel, lam: float, x: Point, y: Point,
                       method: str = "fast") -> float:
     """Projector kernel over every nonzero eigenvalue up to lam."""
-    from .spectrum import _sphere_degree_ceiling, _torus_lattice, _half_space
-
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
     xc = mf.check_point(model, x)
     yc = mf.check_point(model, y)
+    if method == "fast":
+        return float(_kernel(model, _kernel_terms(model, 0.0, lam), xc, yc[None, :])[0])
+    if method != "naive":
+        raise ValueError(f"unknown kernel method {method!r}")
     if model.kind == SPHERE2:
-        hi = _sphere_degree_ceiling(lam)
-        if hi == 0:
-            return 0.0
-        w = np.array([0.0] + [(2 * l + 1) / (4.0 * math.pi) for l in range(1, hi + 1)])
-        if method == "fast":
-            return float(legendre_weighted_sum(w, float(np.clip(xc @ yc, -1.0, 1.0))))
         total = 0.0
-        for l in range(1, hi + 1):
+        for l in band_terms(model, 0.0, lam).tolist():
             emb = make_embedding(model, math.sqrt(l * (l + 1.0)) - 0.5)
             assert {m.label[0] for m in emb.band.modes} == {l}
             total += band_kernel(emb, x, y, method="naive")
         return total
-    lattice = _torus_lattice(model, lam)
-    reps = lattice[_half_space(lattice)]
-    L = np.array(model.side_lengths)
-    W = 2.0 * math.pi * reps / L
-    if method == "fast":
-        return float((2.0 / model.volume) * np.cos(W @ (xc - yc)).sum())
+    W = _kernel_terms(model, 0.0, lam)
     px, py = W @ xc, W @ yc
     return float((2.0 / model.volume)
                  * (np.cos(px) * np.cos(py) + np.sin(px) * np.sin(py)).sum())
@@ -206,31 +190,10 @@ class CanonicalDistance:
     def __call__(self, x: Point, y: Point) -> float:
         return dist_lambda(self.embedding, x, y)
 
-    def rows(self, xc: np.ndarray, C: np.ndarray) -> np.ndarray:
-        exy = _kernel_rows(self.embedding, xc, C)
+    def rows(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """Distances from one point X to the rows of Y, or row by row."""
+        exy = _kernel(self.embedding.model, self.embedding.terms, X, Y)
         return _dist_from_kernels(self._diag, self._diag, exy, self._k)
-
-
-def _pair_dist(embedding: Embedding, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """dist_lambda row-by-row between two stacks of coordinates."""
-    band = _require_modes(embedding)
-    model = embedding.model
-    diag = band.m_lambda / model.volume
-    if model.kind == SPHERE2:
-        cosd = np.clip((X * Y).sum(axis=1), -1.0, 1.0)
-        exy = legendre_weighted_sum(_sphere_band_weights(band), cosd)
-    else:
-        W = _torus_half_space(model, band)
-        exy = (2.0 / model.volume) * np.cos((X - Y) @ W.T).sum(axis=1)
-    return _dist_from_kernels(diag, diag, exy, band.k_lambda)
-
-
-def _pair_dg(model: ManifoldModel, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    if model.kind == SPHERE2:
-        return np.arccos(np.clip((X * Y).sum(axis=1), -1.0, 1.0))
-    L = np.array(model.side_lengths)
-    d = np.abs(X - Y) % L
-    return np.linalg.norm(np.minimum(d, L - d), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +256,8 @@ def path_length_glambda(embedding: Embedding, waypoints) -> float:
             mid = mf.make_point(model, mid_raw / nm)
             dx = mf.log_map(model, mid, q) - mf.log_map(model, mid, p)
         else:
-            delta = mf._torus_delta(model, qc, pc)
-            mid = mf.make_point(model, pc + 0.5 * delta)
-            dx = delta
+            dx = mf.log_map(model, p, q)
+            mid = mf.make_point(model, pc + 0.5 * dx)
         g = pullback_metric(embedding, mid).matrix
         total += math.sqrt(max(0.0, float(dx @ g @ dx)))
     return total
@@ -313,7 +275,8 @@ def lipschitz_scan(embedding: Embedding, pair_count: int, rng: np.random.Generat
     """max over sampled pairs of dist_lambda / (lambda * dist_g).
 
     Half the pairs are uniform; the other half pins y at geodesic radius
-    log-uniform in [1e-8/lambda, 10/lambda] from x, where the ratio peaks.
+    log-uniform in [1e-3/lambda, 10/lambda] from x, where the ratio peaks.
+    Closer pairs measure rounding in arccos and the kernel cancellation.
     """
     band = _require_modes(embedding)
     lam = band.lam
@@ -328,15 +291,15 @@ def lipschitz_scan(embedding: Embedding, pair_count: int, rng: np.random.Generat
     Y = np.empty_like(X)
     Y[:n_far] = _sample_coords(model, n_far, rng)
     r_hi = min(10.0 / lam, 0.999 * model.injectivity_radius)
-    r_lo = 1e-8 / lam
+    r_lo = 1e-3 / lam
     radii = np.exp(rng.uniform(math.log(r_lo), math.log(r_hi), size=n_near))
     dirs = rng.normal(size=(n_near, model.dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     for i in range(n_near):
         p = Point(X[n_far + i])
         Y[n_far + i] = mf.exp_map(model, p, radii[i] * dirs[i]).coords
-    dg = _pair_dg(model, X, Y)
-    dl = _pair_dist(embedding, X, Y)
+    dg = mf.geodesic_rows(model, X, Y)
+    dl = CanonicalDistance(embedding).rows(X, Y)
     keep = dg > 0
     return float((dl[keep] / (lam * dg[keep])).max())
 
@@ -374,16 +337,17 @@ def distance_profile(embedding: Embedding, r_values) -> list[ProfilePoint]:
     return out
 
 
-def _refine_theta(embedding: Embedding, lo: float, hi: float, levels: int = 6) -> float:
-    """Zoom a 65-point grid around the kernel minimum on [lo, hi]."""
+def _kernel_min_theta(embedding: Embedding, thetas: np.ndarray, levels: int = 6) -> float:
+    """Angle of the sphere kernel's minimum: scan thetas, then zoom a
+    65-point grid around the smallest value, levels times."""
     x0 = np.array([0.0, 0.0, 1.0])
-    for _ in range(levels):
-        thetas = np.linspace(lo, hi, 65)
+    for _ in range(levels + 1):
         C = np.stack([np.sin(thetas), np.zeros_like(thetas), np.cos(thetas)], axis=1)
-        vals = _kernel_rows(embedding, x0, C)
+        vals = _kernel(embedding.model, embedding.terms, x0, C)
         j = int(vals.argmin())
         lo = thetas[max(0, j - 1)]
         hi = thetas[min(len(thetas) - 1, j + 1)]
+        thetas = np.linspace(lo, hi, 65)
     return 0.5 * (lo + hi)
 
 
@@ -398,19 +362,12 @@ def diameter_estimate(embedding: Embedding, grid_size: int) -> float:
     pairwise minimal-image displacements of a product grid form the same
     grid, so one kernel sweep over the grid covers every pair.
     """
-    band = _require_modes(embedding)
+    _require_modes(embedding)
     model = embedding.model
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
     if model.kind == SPHERE2:
-        thetas = np.linspace(0.0, math.pi, max(grid_size, 64))
-        x0 = np.array([0.0, 0.0, 1.0])
-        C = np.stack([np.sin(thetas), np.zeros_like(thetas), np.cos(thetas)], axis=1)
-        vals = _kernel_rows(embedding, x0, C)
-        j = int(vals.argmin())
-        lo = thetas[max(0, j - 1)]
-        hi = thetas[min(len(thetas) - 1, j + 1)]
-        theta = _refine_theta(embedding, lo, hi)
+        theta = _kernel_min_theta(embedding, np.linspace(0.0, math.pi, max(grid_size, 64)))
         y = mf.make_point(model, (math.sin(theta), 0.0, math.cos(theta)))
         return dist_lambda(embedding, mf.make_point(model, (0.0, 0.0, 1.0)), y)
     grid = mf.grid_coords(model, grid_size)
@@ -419,7 +376,7 @@ def diameter_estimate(embedding: Embedding, grid_size: int) -> float:
     best_row = None
     for start in range(0, len(grid), _DIAMETER_CHUNK):
         chunk = grid[start:start + _DIAMETER_CHUNK]
-        vals = _kernel_rows(embedding, origin, chunk)
+        vals = _kernel(model, embedding.terms, origin, chunk)
         j = int(vals.argmin())
         if vals[j] < best_val:
             best_val = float(vals[j])

@@ -9,16 +9,14 @@ assoc_legendre_normalized and radial_profile also broadcast over ndarrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "EvalPolicy",
-    "DEFAULT_POLICY",
     "log_gamma",
     "legendre_p",
     "legendre_weighted_sum",
+    "assoc_legendre_upward",
     "assoc_legendre_normalized",
     "radial_profile",
 ]
@@ -27,23 +25,8 @@ INV_SQRT_4PI = 0.5 / math.sqrt(math.pi)
 
 # series / asymptotic split for J_0; both branches agree to ~5e-11 on [10, 14]
 J0_SWITCH = 12.0
-
-
-@dataclass(frozen=True)
-class EvalPolicy:
-    """Termination policy for series evaluation."""
-
-    rel_tol: float = 1e-16
-    max_terms: int = 200
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0):
-            raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
-        if self.max_terms < 1:
-            raise ValueError(f"max_terms must be >= 1, got {self.max_terms}")
-
-
-DEFAULT_POLICY = EvalPolicy()
+# cap on J_0 power-series terms; below J0_SWITCH the terms fall under 1e-18 long before
+J0_MAX_TERMS = 200
 
 
 def log_gamma(x: float) -> float:
@@ -62,21 +45,15 @@ def _check_t(t):
 
 
 def legendre_p(l: int, t):
-    """Legendre polynomial P_l(t) by the upward three-term recurrence.
+    """Legendre polynomial P_l(t): legendre_weighted_sum with one unit weight.
 
     t may be a scalar or an ndarray in [-1, 1].
     """
     if l != int(l) or l < 0:
         raise ValueError(f"degree must be a nonnegative integer, got {l}")
-    l = int(l)
-    arr = _check_t(t)
-    p_prev = np.ones_like(arr)
-    if l == 0:
-        return float(p_prev) if arr.ndim == 0 else p_prev
-    p = arr.copy()
-    for k in range(1, l):
-        p, p_prev = ((2 * k + 1) * arr * p - k * p_prev) / (k + 1), p
-    return float(p) if arr.ndim == 0 else p
+    weights = np.zeros(int(l) + 1)
+    weights[-1] = 1.0
+    return legendre_weighted_sum(weights, t)
 
 
 def legendre_weighted_sum(weights, t):
@@ -99,6 +76,20 @@ def legendre_weighted_sum(weights, t):
     return float(acc) if arr.ndim == 0 else acc
 
 
+def assoc_legendre_upward(l: int, m: int, t, seed):
+    """Climb the degree recurrence of N_k^m P_k^m(t) from the diagonal value
+    seed at k = m; returns the values at degrees l and l - 1 (zero when l = m)."""
+    if l == m:
+        return seed, np.zeros_like(seed)
+    p_prev = seed
+    p = math.sqrt(2 * m + 3.0) * t * p_prev
+    for k in range(m + 2, l + 1):
+        a = math.sqrt((4.0 * k * k - 1.0) / (k * k - m * m))
+        b = math.sqrt(((k - 1.0) ** 2 - m * m) / (4.0 * (k - 1.0) ** 2 - 1.0))
+        p, p_prev = a * (t * p - b * p_prev), p
+    return p, p_prev
+
+
 def assoc_legendre_normalized(l: int, m: int, t):
     """Fully normalized associated Legendre value N_l^m P_l^m(t).
 
@@ -118,12 +109,7 @@ def assoc_legendre_normalized(l: int, m: int, t):
     p = np.full_like(arr, INV_SQRT_4PI)
     for j in range(1, m + 1):
         p = p * math.sqrt((2 * j + 1) / (2.0 * j)) * s
-    if l > m:
-        p, p_prev = math.sqrt(2 * m + 3.0) * arr * p, p
-        for k in range(m + 2, l + 1):
-            a = math.sqrt((4.0 * k * k - 1.0) / (k * k - m * m))
-            b = math.sqrt(((k - 1.0) ** 2 - m * m) / (4.0 * (k - 1.0) ** 2 - 1.0))
-            p, p_prev = a * (arr * p - b * p_prev), p
+    p, _ = assoc_legendre_upward(l, m, arr, p)
     return float(p) if arr.ndim == 0 else p
 
 
@@ -133,13 +119,13 @@ for _k in range(1, 28):
     _HANKEL_C.append(_HANKEL_C[-1] * (2 * _k - 1) ** 2 / (8.0 * _k))
 
 
-def _j0_series(x, policy: EvalPolicy):
+def _j0_series(x):
     """Power series sum (-1)^k (x^2/4)^k / (k!)^2, compensated accumulation."""
     q = 0.25 * x * x
     term = np.ones_like(x)
     total = np.ones_like(x)
     comp = np.zeros_like(x)
-    for k in range(1, policy.max_terms + 1):
+    for k in range(1, J0_MAX_TERMS + 1):
         term = term * (-q) / (k * k)
         y = term - comp
         t = total + y
@@ -177,17 +163,17 @@ def _j0_asymptotic(x):
     return np.sqrt(2.0 / (math.pi * x)) * (p_sum * np.cos(w) + q_sum * np.sin(w))
 
 
-def _bessel_j0(arr, policy: EvalPolicy):
+def _bessel_j0(arr):
     out = np.empty_like(arr)
     small = arr < J0_SWITCH
     if np.any(small):
-        out[small] = _j0_series(arr[small], policy)
+        out[small] = _j0_series(arr[small])
     if np.any(~small):
         out[~small] = _j0_asymptotic(arr[~small])
     return out
 
 
-def radial_profile(n: int, r, policy: EvalPolicy = DEFAULT_POLICY):
+def radial_profile(n: int, r):
     """Normalized radial kernel profile Lambda_n(r) with Lambda_n(0) = 1.
 
     n=1: cos r. n=2: J_0(r), power series below r=12 and the Hankel
@@ -203,7 +189,7 @@ def radial_profile(n: int, r, policy: EvalPolicy = DEFAULT_POLICY):
     if n == 1:
         out = np.cos(shaped)
     elif n == 2:
-        out = _bessel_j0(shaped, policy)
+        out = _bessel_j0(shaped)
     else:
         out = np.empty_like(shaped)
         tiny = shaped < 1e-4

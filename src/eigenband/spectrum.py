@@ -12,17 +12,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .manifold import FLAT_TORUS, SPHERE2, ManifoldModel
+from .manifold import FLAT_TORUS, SPHERE2, ManifoldModel, weyl_constants
 from .specfun import log_gamma
 
 __all__ = [
     "Mode",
     "Band",
     "k_lambda",
+    "band_terms",
     "enumerate_band",
     "eigenvalue_count",
     "weyl_count_deviation",
-    "band_dimension_deviation",
     "mean_frequency",
 ]
 
@@ -85,8 +85,7 @@ def _torus_lattice(model: ManifoldModel, mu_max: float) -> np.ndarray:
             block = np.array([[k1]])
         else:
             block = np.stack([np.full(rest[0].size, k1)] + rest, axis=1)
-        freq = 2.0 * math.pi * block / np.array(model.side_lengths)
-        mu = np.sqrt(np.sum(freq * freq, axis=1))
+        mu = _torus_mu(model, block)
         keep = (mu > 0) & (mu <= mu_max)
         if np.any(keep):
             out.append(block[keep])
@@ -111,31 +110,40 @@ def _half_space(k: np.ndarray) -> np.ndarray:
     return mask
 
 
+def band_terms(model: ManifoldModel, lo: float, hi: float) -> np.ndarray:
+    """The spectrum's terms with frequency mu in (lo, hi].
+
+    Sphere: the degrees l, ascending. Torus: one lattice vector k per +-k
+    pair, from the half-space whose first nonzero component is positive,
+    as rows in lexicographic order.
+    """
+    if model.kind == SPHERE2:
+        first = max(1, _sphere_degree_ceiling(lo) - 1)
+        last = _sphere_degree_ceiling(hi) + 1
+        return np.array([l for l in range(first, last + 1)
+                         if lo < math.sqrt(l * (l + 1.0)) <= hi], dtype=int)
+    if model.kind == FLAT_TORUS:
+        lattice = _torus_lattice(model, hi)
+        reps = lattice[(_torus_mu(model, lattice) > lo) & _half_space(lattice)]
+        return reps[np.lexsort(reps.T[::-1])]
+    raise ValueError(f"unknown manifold kind {model.kind!r}")
+
+
 def enumerate_band(model: ManifoldModel, lam: float) -> Band:
     """All modes with mu in (lam, lam+1], in a deterministic order."""
     if not (lam >= 0):
         raise ValueError(f"band parameter must be >= 0, got {lam}")
+    terms = band_terms(model, lam, lam + 1.0)
     modes: list[Mode] = []
     if model.kind == SPHERE2:
-        lo = max(1, _sphere_degree_ceiling(lam) - 1)
-        hi = _sphere_degree_ceiling(lam + 1.0) + 1
-        for l in range(lo, hi + 1):
+        for l in terms.tolist():
             mu = math.sqrt(l * (l + 1.0))
-            if lam < mu <= lam + 1.0:
-                for m in range(-l, l + 1):
-                    modes.append(Mode(id=len(modes), mu=mu, label=(l, m)))
-    elif model.kind == FLAT_TORUS:
-        lattice = _torus_lattice(model, lam + 1.0)
-        if len(lattice):
-            mu = _torus_mu(model, lattice)
-            keep = (mu > lam) & _half_space(lattice)
-            reps = sorted((tuple(int(c) for c in k), float(m))
-                          for k, m in zip(lattice[keep], mu[keep]))
-            for k, m in reps:
-                for flavor in ("cos", "sin"):
-                    modes.append(Mode(id=len(modes), mu=m, label=(k, flavor)))
+            for m in range(-l, l + 1):
+                modes.append(Mode(id=len(modes), mu=mu, label=(l, m)))
     else:
-        raise ValueError(f"unknown manifold kind {model.kind!r}")
+        for k, mu in zip(terms.tolist(), _torus_mu(model, terms).tolist()):
+            for flavor in ("cos", "sin"):
+                modes.append(Mode(id=len(modes), mu=mu, label=(tuple(k), flavor)))
     mcount = len(modes)
     return Band(lam=float(lam), modes=tuple(modes), m_lambda=mcount,
                 k_lambda=k_lambda(mcount) if mcount else float("nan"),
@@ -156,20 +164,8 @@ def weyl_count_deviation(model: ManifoldModel, lam: float) -> float:
     """N(lam) / (alpha_n vol lam^n) - 1."""
     if not (lam > 0):
         raise ValueError(f"lambda must be > 0, got {lam}")
-    from .manifold import weyl_constants
     alpha = weyl_constants(model).alpha_n
     return eigenvalue_count(model, lam) / (alpha * model.volume * lam ** model.dim) - 1.0
-
-
-def band_dimension_deviation(model: ManifoldModel, lam: float) -> float:
-    """m_lambda / (n alpha_n vol lam^(n-1)) - 1; raw value, no tolerance."""
-    if not (lam > 0):
-        raise ValueError(f"lambda must be > 0, got {lam}")
-    from .manifold import weyl_constants
-    alpha = weyl_constants(model).alpha_n
-    band = enumerate_band(model, lam)
-    pred = model.dim * alpha * model.volume * lam ** (model.dim - 1)
-    return band.m_lambda / pred - 1.0
 
 
 def mean_frequency(band: Band) -> float:

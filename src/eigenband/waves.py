@@ -113,11 +113,8 @@ def _torus_counts(model: ManifoldModel, spacing: float) -> tuple[int, ...]:
 def _grid_for_spacing(model: ManifoldModel, spacing: float) -> np.ndarray:
     if model.kind == SPHERE2:
         count = max(16, math.ceil(4.0 * math.pi * (FIB_OVERSAMPLE / spacing) ** 2))
-        return mf._fibonacci_coords(count)
-    axes = [np.arange(c) * (L / c)
-            for L, c in zip(model.side_lengths, _torus_counts(model, spacing))]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+        return mf.grid_coords(model, count)
+    return mf.product_grid(model, _torus_counts(model, spacing))
 
 
 # sphere: grid points per mode-matrix chunk; torus: lattice entries per

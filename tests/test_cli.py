@@ -157,3 +157,19 @@ def test_verify_csv_has_no_timings(tmp_path, monkeypatch):
     assert b"seconds" not in csvs[0]
     report = json.loads(_newest(tmp_path / "1", ".json").read_text())
     assert report["summary"]["seconds"] == {"1": 1.5, "2": 3.0}
+
+
+def test_emit_report_never_reuses_a_name(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli.time, "strftime", lambda fmt: "20260101-000000")
+    taken = tmp_path / "band-20260101-000000.csv"
+    taken.write_text("keep\n")
+    paths = []
+    for _ in range(2):
+        rep = cli.Report(experiment="band", config={"out": str(tmp_path)},
+                         csv_path="", summary={}, flags={}, wall_clock_s=0.0)
+        paths.append(cli.emit_report(rep, ("only",), [(1,)]).csv_path)
+    csvs = sorted(tmp_path.glob("*.csv"))
+    assert len(set(csvs)) == 3 and taken in csvs
+    assert sorted(map(str, csvs)) == sorted(paths + [str(taken)])
+    assert len(list(tmp_path.glob("*.json"))) == 2
+    assert taken.read_text() == "keep\n"

@@ -76,7 +76,7 @@ def test_distance_two_routes(model, lam):
     VX = bs.mode_matrix(model, band.modes, XC)
     VY = bs.mode_matrix(model, band.modes, YC)
     coord = np.linalg.norm(VX - VY, axis=1) / band.k_lambda
-    kernel = em._pair_dist(emb, XC, YC)
+    kernel = em.CanonicalDistance(emb).rows(XC, YC)
     assert np.max(np.abs(coord - kernel)) < 1e-12
     for x, y, want in zip(X[:10], Y[:10], coord[:10]):
         assert em.dist_lambda(emb, x, y) == pytest.approx(want, abs=1e-12)
@@ -106,15 +106,19 @@ def test_embed_norm_is_constant():
 
 
 def test_canonical_distance_rows():
-    emb = em.make_embedding(SPHERE, 9.0)
-    dist = em.CanonicalDistance(emb)
-    assert dist.name == "d_lambda"
-    X, Y = _pairs(SPHERE, 10, 61)
-    C = np.stack([p.coords for p in Y])
-    rows = dist.rows(X[0].coords, C)
-    for j, y in enumerate(Y):
-        assert rows[j] == pytest.approx(em.dist_lambda(emb, X[0], y), abs=1e-12)
-        assert dist(X[0], y) == pytest.approx(rows[j], abs=1e-14)
+    for model, lam in ((SPHERE, 9.0), (TORUS, 5.0)):
+        emb = em.make_embedding(model, lam)
+        dist = em.CanonicalDistance(emb)
+        assert dist.name == "d_lambda"
+        X, Y = _pairs(model, 10, 61)
+        C = np.stack([p.coords for p in Y])
+        rows = dist.rows(X[0].coords, C)
+        for j, y in enumerate(Y):
+            assert rows[j] == pytest.approx(em.dist_lambda(emb, X[0], y), abs=1e-12)
+            assert dist(X[0], y) == pytest.approx(rows[j], abs=1e-14)
+        paired = dist.rows(np.stack([p.coords for p in X]), C)
+        for x, y, got in zip(X, Y, paired):
+            assert got == pytest.approx(em.dist_lambda(emb, x, y), abs=1e-12)
 
 
 @pytest.mark.parametrize("model,lam", [(SPHERE, 9.0), (SPHERE, 60.0), (TORUS, 5.0)])
@@ -177,10 +181,22 @@ def test_lipschitz_scan_bounds_fresh_pairs():
     rng = np.random.Generator(np.random.Philox(6))
     X = np.stack([mf.uniform_sample(SPHERE, rng).coords for _ in range(2000)])
     Y = np.stack([mf.uniform_sample(SPHERE, rng).coords for _ in range(2000)])
-    dl = em._pair_dist(emb, X, Y)
-    dg = em._pair_dg(SPHERE, X, Y)
+    dl = em.CanonicalDistance(emb).rows(X, Y)
+    dg = mf.geodesic_rows(SPHERE, X, Y)
     keep = dg > 1e-12
     assert float(np.max(dl[keep] / (9.0 * dg[keep]))) <= scan
+
+
+@pytest.mark.parametrize("lam", [30.0, 60.0])
+def test_lipschitz_scan_reaches_analytic_constant(lam):
+    # at short range dist_lambda = sqrt(c) d_g with c the pullback metric
+    # multiple, c = sum_l l(l+1)(2l+1)/(4 pi) / (2 k^2) by the addition theorem
+    emb = em.make_embedding(SPHERE, lam)
+    degrees = {m.label[0] for m in emb.band.modes}
+    c = sum(l * (l + 1) * (2 * l + 1) / (4.0 * math.pi) for l in degrees) \
+        / (2.0 * emb.band.k_lambda ** 2)
+    scan = em.lipschitz_scan(emb, 2000, np.random.Generator(np.random.Philox(8)))
+    assert scan == pytest.approx(math.sqrt(c) / lam, rel=1e-5)
 
 
 def test_distance_profile_reference_and_validation():

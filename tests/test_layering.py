@@ -1,0 +1,66 @@
+"""No module of the package reads another module's underscore names.
+
+Each module's private helpers are its own; a shared quantity gets a
+public function in the module that owns it.
+"""
+
+import ast
+from pathlib import Path
+
+import eigenband
+
+PACKAGE = Path(eigenband.__file__).parent
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _package_module(node: ast.ImportFrom):
+    """The eigenband module an ImportFrom reads names from, else None."""
+    if node.level == 1 and node.module:
+        return node.module
+    if node.level == 0 and node.module and node.module.startswith("eigenband."):
+        return node.module.split(".", 1)[1]
+    return None
+
+
+def private_reads(source: str) -> list[str]:
+    tree = ast.parse(source)
+    aliases = {}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            owner = _package_module(node)
+            if owner is not None:
+                found += [f"{owner}.{a.name}" for a in node.names if _private(a.name)]
+            elif node.level == 1 or node.module == "eigenband":
+                # from . import manifold as mf
+                for a in node.names:
+                    if a.name in MODULES:
+                        aliases[a.asname or a.name] = a.name
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases and _private(node.attr)):
+            found.append(f"{aliases[node.value.id]}.{node.attr}")
+    return found
+
+
+def test_checker_sees_both_forms():
+    src = ("from . import manifold as mf\n"
+           "from .spectrum import _half_space, band_terms\n"
+           "def f(m):\n"
+           "    from eigenband.basis import _upward\n"
+           "    return mf._torus_delta(m), mf.log_map, m._private\n")
+    assert sorted(private_reads(src)) == ["basis._upward", "manifold._torus_delta",
+                                          "spectrum._half_space"]
+
+
+def test_no_cross_module_private_reads():
+    offenders = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        found = private_reads(path.read_text())
+        if found:
+            offenders[path.name] = found
+    assert offenders == {}

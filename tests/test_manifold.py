@@ -72,6 +72,11 @@ def test_distance_rows_match_scalar(seed):
         rows = d.rows(x.coords, C)
         direct = [mf.geodesic_distance(model, x, mf.Point(c)) for c in C]
         assert np.allclose(rows, direct, atol=1e-12)
+        X = np.stack([mf.uniform_sample(model, rng).coords for _ in range(8)])
+        paired = d.rows(X, C)
+        direct = [mf.geodesic_distance(model, mf.Point(a), mf.Point(c))
+                  for a, c in zip(X, C)]
+        assert np.allclose(paired, direct, atol=1e-12)
 
 
 def test_uniform_sample_on_model():
