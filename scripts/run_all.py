@@ -16,7 +16,7 @@ JOBS = [
     ("lipschitz", ["--lambdas", "30,60", "--pairs", "2000"]),
     ("profile", ["--lambda", "60"]),
     ("isometry", ["--lambda", "60", "--samples", "10"]),
-    ("supnorm", ["--lambdas", "20,40", "--samples", "60"]),
+    ("supnorm", ["--lambdas", "20,40,80,160", "--samples", "60"]),
     ("dudley", ["--lambda", "40", "--samples", "60", "--substrate", "8000"]),
     ("diameter", ["--kind", "sphere2", "--lambdas", "20,40"]),
     ("covering", ["--lambda", "9", "--substrate", "8000"]),

@@ -240,7 +240,9 @@ def _run_supnorm(cfg: ExperimentConfig):
                      est.grid_points, bound.general, bound.aperiodic, ratio))
         summary[f"lam{lam:g}"] = {"mean": est.mean, "std_error": est.std_error,
                                   "sup_bound_general": bound.general,
-                                  "sup_bound_aperiodic": bound.aperiodic}
+                                  "sup_bound_aperiodic": bound.aperiodic,
+                                  "level_peaks": list(est.level_peaks),
+                                  "refine_gain": est.refine_gain}
         flags[f"below_sup_bound_lam{lam:g}"] = bool(est.mean <= bound.general)
     header = ("model", "lam", "mean_sup", "std_error", "samples", "grid_points",
               "sup_bound_general", "sup_bound_aperiodic", "ratio_vs_sqrt_log")
@@ -270,7 +272,11 @@ def _run_dudley(cfg: ExperimentConfig):
                "tail_exponent": report.tail_exponent,
                "mean_sup_signed": signed.mean, "se_signed": signed.std_error,
                "mean_sup_abs": absolute.mean, "se_abs": absolute.std_error,
-               "sup_bound_general": bound.general}
+               "sup_bound_general": bound.general,
+               "level_peaks_signed": list(signed.level_peaks),
+               "refine_gain_signed": signed.refine_gain,
+               "level_peaks_abs": list(absolute.level_peaks),
+               "refine_gain_abs": absolute.refine_gain}
     flags = {"sup_below_dudley": bool(signed.mean <= report.bound),
              "sup_below_closed_form": bool(signed.mean <= bound.general),
              "abs_below_twice_signed": bool(

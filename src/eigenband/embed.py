@@ -295,9 +295,7 @@ def lipschitz_scan(embedding: Embedding, pair_count: int, rng: np.random.Generat
     radii = np.exp(rng.uniform(math.log(r_lo), math.log(r_hi), size=n_near))
     dirs = rng.normal(size=(n_near, model.dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    for i in range(n_near):
-        p = Point(X[n_far + i])
-        Y[n_far + i] = mf.exp_map(model, p, radii[i] * dirs[i]).coords
+    Y[n_far:] = mf.exp_map_rows(model, X[n_far:], radii[:, None] * dirs)
     dg = mf.geodesic_rows(model, X, Y)
     dl = CanonicalDistance(embedding).rows(X, Y)
     keep = dg > 0
@@ -315,26 +313,27 @@ def distance_profile(embedding: Embedding, r_values) -> list[ProfilePoint]:
     """
     band = _require_modes(embedding)
     model = embedding.model
-    r_values = [float(r) for r in r_values]
-    for r in r_values:
-        if r < 0 or r > model.injectivity_radius + 1e-12:
-            raise ValueError(f"r={r} outside [0, injectivity radius]")
-    lam_bar = mean_frequency(band)
-    scale = math.sqrt(2.0 / model.volume)
+    r = np.array(r_values, dtype=float).reshape(-1)
+    for bad in r[(r < 0) | (r > model.injectivity_radius + 1e-12)]:
+        raise ValueError(f"r={bad} outside [0, injectivity radius]")
     if model.kind == SPHERE2:
-        x0 = mf.make_point(model, (0.0, 0.0, 1.0))
-        targets = [mf.make_point(model, (math.sin(r), 0.0, math.cos(r))) for r in r_values]
+        x0 = np.array([0.0, 0.0, 1.0])
+        Y = np.stack([np.sin(r), np.zeros_like(r), np.cos(r)], axis=1)
+        Y /= np.linalg.norm(Y, axis=1, keepdims=True)
     else:
         u = np.array(_GENERIC_DIR[:model.dim])
         u /= np.linalg.norm(u)
-        x0 = mf.make_point(model, np.zeros(model.dim))
-        targets = [mf.make_point(model, r * u) for r in r_values]
-    out = []
-    for r, y in zip(r_values, targets):
-        measured = dist_lambda(embedding, x0, y)
-        ref = scale * math.sqrt(max(0.0, 1.0 - radial_profile(model.dim, lam_bar * r)))
-        out.append(ProfilePoint(r=r, measured=measured, reference=ref))
-    return out
+        x0 = np.zeros(model.dim)
+        Y = np.mod(r[:, None] * u, np.array(model.side_lengths))
+    # the same routine for all three kernels, so r = 0 gives exactly 0
+    exx = _kernel(model, embedding.terms, x0, x0[None, :])
+    eyy = _kernel(model, embedding.terms, Y, Y)
+    exy = _kernel(model, embedding.terms, x0, Y)
+    measured = _dist_from_kernels(exx, eyy, exy, band.k_lambda)
+    ref = math.sqrt(2.0 / model.volume) * np.sqrt(np.maximum(
+        0.0, 1.0 - radial_profile(model.dim, mean_frequency(band) * r)))
+    return [ProfilePoint(r=float(a), measured=float(b), reference=float(c))
+            for a, b, c in zip(r, measured, ref)]
 
 
 def _kernel_min_theta(embedding: Embedding, thetas: np.ndarray, levels: int = 6) -> float:

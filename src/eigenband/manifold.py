@@ -35,7 +35,9 @@ __all__ = [
     "grid_coords",
     "product_grid",
     "tangent_frame",
+    "tangent_frame_rows",
     "exp_map",
+    "exp_map_rows",
     "log_map",
     "geodesic_waypoints",
 ]
@@ -230,30 +232,39 @@ def tangent_frame(model: ManifoldModel, x: Point) -> np.ndarray:
     Sphere: deterministic frame from the coordinate axis least aligned
     with x. Torus: the standard basis.
     """
-    xc = check_point(model, x)
+    return tangent_frame_rows(model, check_point(model, x)[None, :])[0]
+
+
+def tangent_frame_rows(model: ManifoldModel, X: np.ndarray) -> np.ndarray:
+    """tangent_frame of every coordinate row of X: (points, dim, ambient)."""
     if model.kind != SPHERE2:
-        return np.eye(model.dim)
-    k = int(np.argmin(np.abs(xc)))
-    e1 = np.zeros(3)
-    e1[k] = 1.0
-    e1 = e1 - (e1 @ xc) * xc
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(xc, e1)
-    return np.stack([e1, e2])
+        return np.tile(np.eye(model.dim), (len(X), 1, 1))
+    rows = np.arange(len(X))
+    k = np.argmin(np.abs(X), axis=1)
+    e1 = -X[rows, k][:, None] * X
+    e1[rows, k] += 1.0
+    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
+    return np.stack([e1, np.cross(X, e1)], axis=1)
 
 
 def exp_map(model: ManifoldModel, x: Point, v: np.ndarray) -> Point:
     """Geodesic exponential; v has components in the tangent_frame rows."""
     xc = check_point(model, x)
     v = np.asarray(v, dtype=float)
-    if model.kind == SPHERE2:
-        frame = tangent_frame(model, x)
-        w = v @ frame
-        r = float(np.linalg.norm(w))
-        if r < 1e-300:
-            return Point(xc.copy())
-        return Point(math.cos(r) * xc + math.sin(r) * (w / r))
-    return make_point(model, xc + v)
+    if v.shape != (model.dim,):
+        raise ValueError(f"tangent vector needs {model.dim} components, got {v.shape}")
+    return Point(exp_map_rows(model, xc[None, :], v[None, :])[0])
+
+
+def exp_map_rows(model: ManifoldModel, X: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """exp_map from each coordinate row of X along the matching row of V."""
+    if model.kind != SPHERE2:
+        return np.mod(X + V, np.array(model.side_lengths))
+    W = np.einsum("pi,pia->pa", V, tangent_frame_rows(model, X))
+    r = np.linalg.norm(W, axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        moved = np.cos(r) * X + np.sin(r) * (W / r)
+    return np.where(r < 1e-300, X, moved)
 
 
 def log_map(model: ManifoldModel, x: Point, y: Point) -> np.ndarray:

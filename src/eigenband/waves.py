@@ -4,17 +4,20 @@ A wave is a random combination of the band eigenfunctions with i.i.d.
 N(0, 1/k^2) coefficients from a counter-based stream, so any (seed, index)
 pair regenerates the identical wave on any machine and in any order.
 
-Sup norms are estimated on a ladder of quasi-uniform grids (densities 4,
-8, ... up to the requested points-per-wavelength) with a quadratic
-refinement step around each level's argmax. Running every ladder level,
-and keeping every level's refinement candidates, makes the estimate
-monotone nondecreasing in the requested density.
+Sup norms are estimated on a ladder of grids (densities 4, 8, ... up to
+the requested points-per-wavelength) with a quadratic refinement step
+around each level's argmax, made for every wave at once. Running every
+ladder level, and keeping every level's refinement candidates, makes the
+estimate monotone nondecreasing in the requested density.
 
-On the torus each level is a product grid of c points per axis, where a
-mode of frequency 2 pi k / L has phase 2 pi k.j / c at node j, so a level's
-values are one inverse FFT of the coefficients placed at k mod c (exact
-for any c). On the sphere each level is a Fibonacci grid scanned by
-multiplying mode matrices, cached while they fit in memory.
+Each level's values are inverse FFTs. On the torus a level is a product
+grid of c points per axis, where a mode of frequency 2 pi k / L has phase
+2 pi k.j / c at node j, so the level is one inverse FFT of the coefficients
+placed at k mod c (exact for any c). On the sphere a level is N equiangular
+rings theta_j = (j + 1/2) pi / N with 2N azimuths pi k / N each; along a
+ring a wave is a trigonometric polynomial in phi of order at most l < N, so
+one row-wise irfft of its azimuthal spectrum, built from a table of the
+normalized Legendre values on the rings, gives the level exactly.
 """
 
 from __future__ import annotations
@@ -41,8 +44,6 @@ __all__ = [
 ]
 
 LADDER_BASE = 4
-# grid points per unit area exceed (FIB_OVERSAMPLE/spacing)^2 on the sphere
-FIB_OVERSAMPLE = 1.15
 
 
 @dataclass(frozen=True)
@@ -59,6 +60,10 @@ class SupNormEstimate:
     samples: int
     grid_points: int
     lam: float
+    # mean over the waves of each ladder level's grid peak, coarsest first
+    level_peaks: tuple[float, ...]
+    # mean over the waves of the refined sup minus the best grid peak
+    refine_gain: float
 
 
 @dataclass(frozen=True)
@@ -106,29 +111,26 @@ def _ladder(density: float) -> list[float]:
     return levels
 
 
-def _torus_counts(model: ManifoldModel, spacing: float) -> tuple[int, ...]:
-    return tuple(max(1, math.ceil(L / spacing)) for L in model.side_lengths)
+def _ring_grid(rings: int) -> np.ndarray:
+    """Rings at colatitudes (j + 1/2) pi / rings, each with the 2 * rings
+    azimuths pi k / rings from 0; rows in (ring, azimuth) C order."""
+    theta = (np.arange(rings) + 0.5) * (math.pi / rings)
+    T, F = np.meshgrid(theta, np.arange(2 * rings) * (math.pi / rings), indexing="ij")
+    coords = np.stack([np.sin(T) * np.cos(F), np.sin(T) * np.sin(F), np.cos(T)], axis=-1)
+    return coords.reshape(-1, 3)
 
 
-def _grid_for_spacing(model: ManifoldModel, spacing: float) -> np.ndarray:
-    if model.kind == SPHERE2:
-        count = max(16, math.ceil(4.0 * math.pi * (FIB_OVERSAMPLE / spacing) ** 2))
-        return mf.grid_coords(model, count)
-    return mf.product_grid(model, _torus_counts(model, spacing))
-
-
-# sphere: grid points per mode-matrix chunk; torus: lattice entries per
-# block of waves in one inverse FFT
+# grid entries per block of waves in one level's inverse FFT
 _CHUNK = 1 << 16
-# sphere chunk matrices stay resident across waves only below this entry count
-_CACHE_LIMIT = 40_000_000
 
 
 class _SupLevels:
     """Grids for one band and the scan of each level.
 
-    Torus levels are synthesised by inverse FFT; sphere levels multiply
-    mode matrices, cached when they fit in memory.
+    Torus levels place the coefficients on the frequency lattice; sphere
+    levels hold each ring's normalized Legendre values, as a table whose
+    column j, times coefficient j, is that mode's share of the azimuthal
+    spectrum. Either way a level's values are one inverse FFT per block.
     """
 
     def __init__(self, band: Band, density: float):
@@ -136,124 +138,104 @@ class _SupLevels:
         self.model = band.model
         lam_bar = mean_frequency(band)
         self.spacings = [(2.0 * math.pi / lam_bar) / d for d in _ladder(density)]
-        self.coords = [_grid_for_spacing(self.model, s) for s in self.spacings]
-        self.grid_points = sum(len(C) for C in self.coords)
-        self._cache = None
-        if (self.model.kind == SPHERE2
-                and self.grid_points * band.m_lambda <= _CACHE_LIMIT):
-            self._cache = [self._built_chunks(C) for C in self.coords]
-
-    def _built_chunks(self, C: np.ndarray) -> list[np.ndarray]:
-        return [bs.mode_matrix(self.model, self.band.modes, C[i:i + _CHUNK])
-                for i in range(0, len(C), _CHUNK)]
-
-    def _level_chunks(self, li: int):
-        C = self.coords[li]
-        if self._cache is not None:
-            for i, M in enumerate(self._cache[li]):
-                yield C[i * _CHUNK:(i + 1) * _CHUNK], M
+        labels = [mode.label for mode in band.modes]
+        if self.model.kind == SPHERE2:
+            # N = ceil(lam_bar d / 2) >= 2 lam_bar > l: no order reaches the Nyquist bin N
+            self.shapes = [(math.ceil(math.pi / s),) for s in self.spacings]
+            orders = np.array([abs(m) for _, m in labels])
+            self._sort = np.argsort(orders, kind="stable")
+            self._orders, self._starts = np.unique(orders[self._sort], return_index=True)
+            cos_of = [labels.index((l, abs(m))) for l, m in labels]
+            # a_m cos + a_-m sin = Re((a_m - i a_-m) e^{i m phi}); irfft halves
+            # the m > 0 bins and divides by 2 rings
+            weight = (np.where(orders == 0, 2.0, 1.0)
+                      * np.array([1.0 if m >= 0 else -1j for _, m in labels]))[self._sort]
+            self.coords = [_ring_grid(n) for n, in self.shapes]
+            # at azimuth 0 (each ring's first point) a cos column of mode_matrix is
+            # sqrt(2) Pbar_l^m(theta) and a sin column is 0: the cos column serves both
+            self._tables = [bs.mode_matrix(self.model, band.modes, C[::2 * n])[:, cos_of]
+                            [:, self._sort] * (n * weight)
+                            for C, (n,) in zip(self.coords, self.shapes)]
         else:
-            for i in range(0, len(C), _CHUNK):
-                ch = C[i:i + _CHUNK]
-                yield ch, bs.mode_matrix(self.model, self.band.modes, ch)
+            self.shapes = [tuple(max(1, math.ceil(L / s)) for L in self.model.side_lengths)
+                           for s in self.spacings]
+            self.coords = [mf.product_grid(self.model, c) for c in self.shapes]
+            K = np.array([k for k, _ in labels])
+            self._at = [np.ravel_multi_index(tuple((K % np.array(c)).T), c) for c in self.shapes]
+            # a cos(theta) + b sin(theta) = Re((a - i b) e^{i theta})
+            self._phase = np.array([1.0 if flavor == "cos" else -1j for _, flavor in labels])
+        self.grid_points = sum(len(C) for C in self.coords)
 
-    def _values_at(self, pts: np.ndarray, coeffs: np.ndarray, use_abs: bool) -> np.ndarray:
-        vals = bs.mode_matrix(self.model, self.band.modes, pts) @ coeffs
+    def _level_values(self, li: int, Ab: np.ndarray) -> np.ndarray:
+        """Values of the coefficient columns Ab on level li: (waves, grid points)."""
+        shape = self.shapes[li]
+        size = len(self.coords[li])
+        if self.model.kind == SPHERE2:
+            rings = shape[0]
+            terms = self._tables[li][None, :, :] * Ab[self._sort].T[:, None, :]
+            spec = np.zeros((Ab.shape[1], rings, rings + 1), dtype=complex)
+            spec[:, :, self._orders] = np.add.reduceat(terms, self._starts, axis=2)
+            return np.fft.irfft(spec, n=2 * rings, axis=2).reshape(-1, size)
+        lattice = np.zeros((Ab.shape[1], *shape), dtype=complex)
+        np.add.at(lattice.reshape(-1, size), (slice(None), self._at[li]), Ab.T * self._phase)
+        axes = tuple(range(1, len(shape) + 1))
+        # in place, so a block holds one complex lattice at a time
+        V = np.fft.ifftn(lattice, axes=axes, out=lattice).real.reshape(-1, size)
+        return V * (size * math.sqrt(2.0 / self.model.volume))
+
+    def _level_peaks(self, li: int, A: np.ndarray, use_abs: bool):
+        n_waves = A.shape[1]
+        vals = np.empty(n_waves)
+        at = np.empty(n_waves, dtype=np.intp)
+        block = max(1, _CHUNK // len(self.coords[li]))
+        for b in range(0, n_waves, block):
+            V = self._level_values(li, A[:, b:b + block])
+            if use_abs:
+                np.abs(V, out=V)
+            at[b:b + block] = V.argmax(axis=1)
+            vals[b:b + block] = V[np.arange(len(V)), at[b:b + block]]
+        return vals, self.coords[li][at]
+
+    def _values_at(self, P: np.ndarray, V: np.ndarray, A: np.ndarray,
+                   use_abs: bool) -> np.ndarray:
+        """Wave w at exp_map(P[w], V[w, s]) for every stencil row s: (waves, s)."""
+        n_waves, n_steps, n = V.shape
+        pts = mf.exp_map_rows(self.model, np.repeat(P, n_steps, axis=0), V.reshape(-1, n))
+        M = bs.mode_matrix(self.model, self.band.modes, pts)
+        vals = np.einsum("wsm,mw->ws", M.reshape(n_waves, n_steps, -1), A)
         return np.abs(vals) if use_abs else vals
 
-    def _refined_max(self, center: np.ndarray, f0: float, h: float,
-                     coeffs: np.ndarray, use_abs: bool) -> float:
-        model = self.model
-        p = mf.make_point(model, center)
-        n = model.dim
-        moved = []
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = h
-            moved.append(mf.exp_map(model, p, e).coords)
-            moved.append(mf.exp_map(model, p, -e).coords)
-        fm = self._values_at(np.stack(moved), coeffs, use_abs)
-        best = float(fm.max())
-        t = np.zeros(n)
-        for i in range(n):
-            fp, fn = fm[2 * i], fm[2 * i + 1]
-            den = fp + fn - 2.0 * f0
-            if den < 0.0:
-                t[i] = float(np.clip(0.5 * h * (fn - fp) / den, -h, h))
-        if np.any(t != 0.0):
-            cands = [t]
+    def _refined(self, P: np.ndarray, f0: np.ndarray, h: float, A: np.ndarray,
+                 use_abs: bool) -> np.ndarray:
+        """Best value per wave on a +-h stencil around its peak P[w] (value
+        f0[w]) and at the vertex of the per-axis parabola through it."""
+        n_waves, n = len(P), self.model.dim
+        steps = np.stack([h * np.eye(n), -h * np.eye(n)], axis=1).reshape(2 * n, n)
+        fm = self._values_at(P, np.broadcast_to(steps, (n_waves, 2 * n, n)), A, use_abs)
+        best = fm.max(axis=1)
+        fp, fn = fm[:, 0::2], fm[:, 1::2]
+        den = fp + fn - 2.0 * f0[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.where(den < 0.0, np.clip(0.5 * h * (fn - fp) / den, -h, h), 0.0)
+        moving = np.flatnonzero(np.any(t != 0.0, axis=1))
+        if moving.size:
+            # the full step, and each axis's step alone
+            cands = t[moving, None, :]
             if n > 1:
-                for i in range(n):
-                    e = np.zeros(n)
-                    e[i] = t[i]
-                    cands.append(e)
-            pts = np.stack([mf.exp_map(model, p, c).coords for c in cands])
-            best = max(best, float(self._values_at(pts, coeffs, use_abs).max()))
+                cands = np.concatenate([cands, cands * np.eye(n)], axis=1)
+            vals = self._values_at(P[moving], cands, A[:, moving], use_abs)
+            best[moving] = np.maximum(best[moving], vals.max(axis=1))
         return best
 
-    def _matrix_level_peaks(self, li: int, A: np.ndarray, use_abs: bool):
-        n_waves = A.shape[1]
-        lvl_val = np.full(n_waves, -np.inf)
-        lvl_pt = np.zeros((n_waves, self.coords[li].shape[1]))
-        for ch, M in self._level_chunks(li):
-            V = M @ A
-            if use_abs:
-                np.abs(V, out=V)
-            j = V.argmax(axis=0)
-            v = V[j, np.arange(n_waves)]
-            upd = v > lvl_val
-            lvl_val[upd] = v[upd]
-            lvl_pt[upd] = ch[j[upd]]
-        return lvl_val, lvl_pt
-
-    def _fft_level_peaks(self, li: int, A: np.ndarray, use_abs: bool):
-        counts = _torus_counts(self.model, self.spacings[li])
-        size = math.prod(counts)
-        labels = [mode.label for mode in self.band.modes]
-        K = np.array([k for k, _ in labels])
-        at = np.ravel_multi_index(tuple((K % np.array(counts)).T), counts)
-        # a cos(theta) + b sin(theta) = Re((a - i b) e^{i theta})
-        Z = A.T * np.array([1.0 if flavor == "cos" else -1j for _, flavor in labels])
-        scale = size * math.sqrt(2.0 / self.model.volume)
-        axes = tuple(range(1, len(counts) + 1))
-        n_waves = A.shape[1]
-        lvl_val = np.empty(n_waves)
-        j = np.empty(n_waves, dtype=np.intp)
-        block = max(1, _CHUNK // size)
-        for b in range(0, n_waves, block):
-            zb = Z[b:b + block]
-            lattice = np.zeros((len(zb), size), dtype=complex)
-            np.add.at(lattice, (slice(None), at), zb)
-            V = np.fft.ifftn(lattice.reshape(len(zb), *counts), axes=axes).real
-            V = V.reshape(len(zb), size) * scale
-            if use_abs:
-                np.abs(V, out=V)
-            j[b:b + block] = V.argmax(axis=1)
-            lvl_val[b:b + block] = V[np.arange(len(zb)), j[b:b + block]]
-        return lvl_val, self.coords[li][j]
-
-    def batch_sups(self, A: np.ndarray, use_abs: bool = True) -> np.ndarray:
-        """Sups for coefficient columns of A; grid scan batched, refinement per wave."""
-        n_waves = A.shape[1]
-        level_peaks = (self._matrix_level_peaks if self.model.kind == SPHERE2
-                       else self._fft_level_peaks)
-        total = np.full(n_waves, -np.inf)
-        # (value, point, spacing) of each level's peak, per wave
-        peaks = [[] for _ in range(n_waves)]
-        for li in range(len(self.coords)):
-            lvl_val, lvl_pt = level_peaks(li, A, use_abs)
-            np.maximum(total, lvl_val, out=total)
-            for si in range(n_waves):
-                peaks[si].append((float(lvl_val[si]), lvl_pt[si], self.spacings[li]))
-
-        def refine(si: int) -> float:
-            best = total[si]
-            for f0, pt, h in peaks[si]:
-                best = max(best, self._refined_max(pt, f0, h, A[:, si], use_abs))
-            return float(best)
-
-        return np.fromiter((refine(si) for si in range(n_waves)), dtype=float,
-                           count=n_waves)
+    def batch_sups(self, A: np.ndarray, use_abs: bool = True):
+        """Sups for the coefficient columns of A, and each level's grid peaks
+        (levels x waves); scan and refinement batched over the waves."""
+        peaks, points = zip(*(self._level_peaks(li, A, use_abs)
+                              for li in range(len(self.coords))))
+        sups = np.max(peaks, axis=0)
+        for P, f0, h in zip(points, peaks, self.spacings):
+            np.maximum(sups, self._refined(P, f0, h, A, use_abs), out=sups)
+        return sups, np.array(peaks)
 
 
 def _levels_for(band: Band, density: float) -> _SupLevels:
@@ -278,7 +260,8 @@ def sup_norm(wave: RandomWave, grid_density: float) -> float:
     grid_density; the result never decreases when grid_density grows.
     """
     levels = _levels_for(wave.band, grid_density)
-    return float(levels.batch_sups(wave.coefficients[:, None], use_abs=True)[0])
+    sups, _ = levels.batch_sups(wave.coefficients[:, None], use_abs=True)
+    return float(sups[0])
 
 
 def expected_sup(model: ManifoldModel, lam: float, n_samples: int,
@@ -302,9 +285,9 @@ def expected_sup(model: ManifoldModel, lam: float, n_samples: int,
     levels = _levels_for(band, grid_density)
     A = np.stack([sample_wave(band, seed, i).coefficients
                   for i in range(n_samples)], axis=1)
-    sups = levels.batch_sups(A, use_abs=statistic == "abs")
+    sups, peaks = levels.batch_sups(A, use_abs=statistic == "abs")
     return SupNormEstimate(mean=float(sups.mean()),
                            std_error=float(sups.std(ddof=1) / math.sqrt(n_samples)),
-                           samples=n_samples,
-                           grid_points=levels.grid_points,
-                           lam=lam)
+                           samples=n_samples, grid_points=levels.grid_points, lam=lam,
+                           level_peaks=tuple(float(v) for v in peaks.mean(axis=1)),
+                           refine_gain=float((sups - peaks.max(axis=0)).mean()))

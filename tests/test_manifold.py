@@ -130,6 +130,20 @@ def test_exp_log_round_trip(seed):
             float(np.linalg.norm(v)), abs=1e-9)
 
 
+def test_exp_map_rows_match_pointwise():
+    rng = np.random.Generator(np.random.Philox(5))
+    for model in (SPHERE, TORUS):
+        X = np.stack([mf.uniform_sample(model, rng).coords for _ in range(30)])
+        V = rng.standard_normal((30, 2))
+        V[0] = 0.0
+        want = np.stack([mf.exp_map(model, mf.Point(x), v).coords for x, v in zip(X, V)])
+        np.testing.assert_allclose(mf.exp_map_rows(model, X, V), want, rtol=0, atol=1e-15)
+        frames = np.stack([mf.tangent_frame(model, mf.Point(x)) for x in X])
+        np.testing.assert_allclose(mf.tangent_frame_rows(model, X), frames, rtol=0, atol=1e-15)
+        with pytest.raises(ValueError):
+            mf.exp_map(model, mf.Point(X[1]), np.ones(3 if model is TORUS else 1))
+
+
 def test_log_map_antipode_raises():
     n = mf.make_point(SPHERE, (0, 0, 1))
     with pytest.raises(ValueError):

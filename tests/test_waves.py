@@ -70,8 +70,8 @@ def test_single_mode_sup_exact():
 def test_sup_norm_monotone_in_density():
     band = sp.enumerate_band(SPHERE, 15.0)
     w = wv.sample_wave(band, 6, 2)
-    s = [wv.sup_norm(w, d) for d in (4.0, 8.0, 16.0)]
-    assert s[0] <= s[1] <= s[2]
+    s = [wv.sup_norm(w, d) for d in (4.0, 8.0, 16.0, 32.0)]
+    assert s == sorted(s)
     # refinement is already close at moderate density
     assert s[2] - s[1] <= 0.01 * s[2]
 
@@ -125,20 +125,57 @@ def test_mean_sup_below_bound():
     assert est.mean <= wv.sup_norm_bound(SPHERE, 20.0).general
 
 
+def _reference_refined(model, modes, center, f0, h, coeffs, use_abs):
+    # the engine's quadratic step, one wave at a time through the public maps
+    def values(pts):
+        v = bs.mode_matrix(model, modes, np.stack(pts)) @ coeffs
+        return np.abs(v) if use_abs else v
+
+    p = mf.Point(center)
+    n = model.dim
+    fm = values([mf.exp_map(model, p, s * h * np.eye(n)[i]).coords
+                 for i in range(n) for s in (1.0, -1.0)])
+    best = float(fm.max())
+    t = np.zeros(n)
+    for i in range(n):
+        fp, fn = fm[2 * i], fm[2 * i + 1]
+        den = fp + fn - 2.0 * f0
+        if den < 0.0:
+            t[i] = float(np.clip(0.5 * h * (fn - fp) / den, -h, h))
+    if np.any(t != 0.0):
+        cands = [t] + ([t * np.eye(n)[i] for i in range(n)] if n > 1 else [])
+        best = max(best, float(values([mf.exp_map(model, p, c).coords
+                                       for c in cands]).max()))
+    return best
+
+
 def _brute_force_sups(levels, A, use_abs):
-    # every level scanned by mode_matrix @ coefficients, refined as the engine does
+    # every level scanned by mode_matrix @ coefficients, then refined per wave
+    model, modes = levels.model, levels.band.modes
     sups = []
     for si in range(A.shape[1]):
         best = -np.inf
         for C, h in zip(levels.coords, levels.spacings):
-            v = bs.mode_matrix(levels.model, levels.band.modes, C) @ A[:, si]
+            v = bs.mode_matrix(model, modes, C) @ A[:, si]
             if use_abs:
                 v = np.abs(v)
             j = int(v.argmax())
             best = max(best, float(v[j]),
-                       levels._refined_max(C[j], float(v[j]), h, A[:, si], use_abs))
+                       _reference_refined(model, modes, C[j], float(v[j]), h,
+                                          A[:, si], use_abs))
         sups.append(best)
     return np.array(sups)
+
+
+def _scan_matches_mode_matrix_scan(model, lam, density, use_abs):
+    band = sp.enumerate_band(model, lam)
+    A = np.stack([wv.sample_wave(band, 21, i).coefficients for i in range(6)], axis=1)
+    levels = wv._SupLevels(band, density)
+    got, peaks = levels.batch_sups(A, use_abs=use_abs)
+    want = _brute_force_sups(levels, A, use_abs)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    assert peaks.shape == (len(levels.coords), A.shape[1])
+    assert np.all(got >= peaks.max(axis=0))
 
 
 @pytest.mark.parametrize("sides,lam,density", [
@@ -148,13 +185,25 @@ def _brute_force_sups(levels, A, use_abs):
 ])
 @pytest.mark.parametrize("use_abs", [True, False])
 def test_torus_fft_scan_matches_mode_matrix_scan(sides, lam, density, use_abs):
-    model = mf.flat_torus(sides)
-    band = sp.enumerate_band(model, lam)
-    A = np.stack([wv.sample_wave(band, 21, i).coefficients for i in range(6)], axis=1)
-    levels = wv._SupLevels(band, density)
-    got = levels.batch_sups(A, use_abs=use_abs)
-    want = _brute_force_sups(levels, A, use_abs)
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    _scan_matches_mode_matrix_scan(mf.flat_torus(sides), lam, density, use_abs)
+
+
+@pytest.mark.parametrize("lam,density", [(12.0, 6.0), (20.0, 4.0)])
+@pytest.mark.parametrize("use_abs", [True, False])
+def test_sphere_ring_scan_matches_mode_matrix_scan(lam, density, use_abs):
+    _scan_matches_mode_matrix_scan(SPHERE, lam, density, use_abs)
+
+
+def test_sphere_ring_grid_is_equiangular():
+    band = sp.enumerate_band(SPHERE, 20.0)
+    levels = wv._SupLevels(band, 8.0)
+    for (rings,), C, h in zip(levels.shapes, levels.coords, levels.spacings):
+        assert rings == math.ceil(math.pi / h)
+        assert max(l for l, _ in (m.label for m in band.modes)) < rings
+        theta = np.arccos(C[::2 * rings, 2])
+        np.testing.assert_allclose(theta, (np.arange(rings) + 0.5) * math.pi / rings,
+                                   rtol=0, atol=1e-12)
+        assert len(C) == 2 * rings * rings
 
 
 def test_torus_sup_norm_monotone_in_density():
@@ -165,14 +214,31 @@ def test_torus_sup_norm_monotone_in_density():
     assert s == sorted(s)
 
 
-def test_torus_wave_blocks_do_not_change_sups(monkeypatch):
-    band = sp.enumerate_band(TORUS, 9.0)
+def _wave_blocks_do_not_change_sups(model, lam, monkeypatch):
+    band = sp.enumerate_band(model, lam)
     A = np.stack([wv.sample_wave(band, 4, i).coefficients for i in range(7)], axis=1)
     levels = wv._SupLevels(band, 8.0)
     largest = max(len(C) for C in levels.coords)
     monkeypatch.setattr(wv, "_CHUNK", 7 * largest)
-    single = levels.batch_sups(A)
+    single, _ = levels.batch_sups(A)
     # two waves per block on the finest level, more on the coarser ones
     monkeypatch.setattr(wv, "_CHUNK", 2 * largest)
-    blocked = levels.batch_sups(A)
+    blocked, _ = levels.batch_sups(A)
     assert np.array_equal(blocked, single)
+
+
+def test_torus_wave_blocks_do_not_change_sups(monkeypatch):
+    _wave_blocks_do_not_change_sups(TORUS, 9.0, monkeypatch)
+
+
+def test_sphere_wave_blocks_do_not_change_sups(monkeypatch):
+    _wave_blocks_do_not_change_sups(SPHERE, 9.0, monkeypatch)
+
+
+def test_expected_sup_ladder_telemetry():
+    for model in (SPHERE, TORUS):
+        est = wv.expected_sup(model, 12.0, 8, 10.0, seed=2)
+        # densities 4, 8 and 16
+        assert len(est.level_peaks) == 3
+        assert 0.0 <= est.refine_gain
+        assert max(est.level_peaks) + est.refine_gain <= est.mean + 1e-12
