@@ -105,7 +105,9 @@ def _kernel(model: ManifoldModel, terms: np.ndarray, X: np.ndarray,
     (torus): one point X against the rows of Y, or two stacks row by row."""
     if model.kind == SPHERE2:
         return legendre_weighted_sum(terms, mf.sphere_cosines(X, Y))
-    return (2.0 / model.volume) * np.cos((Y - X) @ terms.T).sum(axis=-1)
+    phase = (Y - X) @ terms.T
+    np.cos(phase, out=phase)
+    return (2.0 / model.volume) * phase.sum(axis=-1)
 
 
 def band_kernel(embedding: Embedding, x: Point, y: Point, method: str = "fast") -> float:
@@ -194,6 +196,20 @@ class CanonicalDistance:
         """Distances from one point X to the rows of Y, or row by row."""
         exy = _kernel(self.embedding.model, self.embedding.terms, X, Y)
         return _dist_from_kernels(self._diag, self._diag, exy, self._k)
+
+    def substrate_rows(self, C: np.ndarray):
+        """j -> distances from C[j] to every row of C, for repeated rows.
+
+        Builds the feature matrix Phi(C) once; each row then takes its
+        kernel values from one matrix-vector product Phi(C) Phi(C[j]) in
+        place of the addition theorem.
+        """
+        F = bs.mode_matrix(self.embedding.model, self.embedding.band.modes, C)
+
+        def row(j: int) -> np.ndarray:
+            return _dist_from_kernels(self._diag, self._diag, F @ F[j], self._k)
+
+        return row
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +366,7 @@ def _kernel_min_theta(embedding: Embedding, thetas: np.ndarray, levels: int = 6)
     return 0.5 * (lo + hi)
 
 
+# kernel entries (grid points x frequency rows) per torus diameter chunk
 _DIAMETER_CHUNK = 1 << 18
 
 
@@ -373,8 +390,9 @@ def diameter_estimate(embedding: Embedding, grid_size: int) -> float:
     origin = np.zeros(model.dim)
     best_val = np.inf
     best_row = None
-    for start in range(0, len(grid), _DIAMETER_CHUNK):
-        chunk = grid[start:start + _DIAMETER_CHUNK]
+    step = max(1, _DIAMETER_CHUNK // len(embedding.terms))
+    for start in range(0, len(grid), step):
+        chunk = grid[start:start + step]
         vals = _kernel(model, embedding.terms, origin, chunk)
         j = int(vals.argmin())
         if vals[j] < best_val:

@@ -3,7 +3,13 @@
 Nets come from farthest-point traversal, which yields covering-number
 upper bounds; that is the direction the entropy integral needs. One
 traversal of the substrate produces the whole covering curve, because the
-insertion order never depends on epsilon.
+insertion order never depends on epsilon. A distance that offers
+substrate_rows (CanonicalDistance) supplies each insertion's row from
+feature vectors computed once per substrate; any other distance is asked
+for rows(x, C), or called pair by pair.
+
+scipy is imported inside the two functions that need it, so importing the
+package does not load it.
 """
 
 from __future__ import annotations
@@ -12,8 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import erfcx, gammaincc
 
 from .manifold import Point
 
@@ -86,9 +90,21 @@ def _rows_fn(distance):
     return fallback
 
 
-def _farthest_point_order(C: np.ndarray, rows, stop_radius: float):
-    """Insertion order and radii until the next insertion would be <= stop_radius."""
-    dmin = rows(C[0], C)
+def _row_source(distance, C: np.ndarray):
+    """j -> distances from C[j] to every row of C."""
+    substrate_rows = getattr(distance, "substrate_rows", None)
+    if substrate_rows is not None:
+        return substrate_rows(C)
+    rows = _rows_fn(distance)
+    return lambda j: rows(C[j], C)
+
+
+def _farthest_point_order(row, stop_radius: float):
+    """Insertion order and radii until the next insertion would be <= stop_radius.
+
+    row(j) gives the distances from substrate point j to the whole substrate.
+    """
+    dmin = row(0)
     order = [0]
     radii = [math.inf]
     while True:
@@ -98,7 +114,7 @@ def _farthest_point_order(C: np.ndarray, rows, stop_radius: float):
             break
         order.append(j)
         radii.append(r)
-        np.minimum(dmin, rows(C[j], C), out=dmin)
+        np.minimum(dmin, row(j), out=dmin)
     return order, radii, dmin
 
 
@@ -113,7 +129,7 @@ def greedy_net(points, distance, epsilon: float) -> Net:
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     C = np.stack([p.coords for p in points])
-    order, _, dmin = _farthest_point_order(C, _rows_fn(distance), epsilon)
+    order, _, dmin = _farthest_point_order(_row_source(distance, C), epsilon)
     return Net(centers=[points[i] for i in order], radius=epsilon,
                covered_check=float(dmin.max()))
 
@@ -135,10 +151,10 @@ def covering_curve(substrate, distance, epsilon_list) -> CoveringCurve:
     if len(substrate) == 0:
         raise ValueError("substrate is empty")
     C = np.stack([p.coords for p in substrate])
-    rows = _rows_fn(distance)
-    order, radii, _ = _farthest_point_order(C, rows, min(eps))
+    order, radii, _ = _farthest_point_order(_row_source(distance, C), min(eps))
     inserted = np.array(radii[1:])
     entries = tuple((e, 1 + int((inserted > e).sum())) for e in eps)
+    rows = _rows_fn(distance)
     probe = order[:_DIAM_PROBE]
     diam = 0.0
     for i in probe:
@@ -187,6 +203,8 @@ def dudley_report(curve: CoveringCurve) -> DudleyReport:
     fitted power law closes the integrable sqrt-log singularity in closed
     form via the upper incomplete gamma function.
     """
+    from scipy.special import gammaincc
+
     if not curve.entries:
         raise ValueError("covering curve is empty")
     half_d = curve.diameter / 2.0
@@ -259,6 +277,9 @@ def claim_integral(a: float) -> float:
     """
     if a <= 0:
         raise ValueError(f"a must be positive, got {a}")
+    from scipy.integrate import quad
+    from scipy.special import erfcx
+
     by_quad, err = quad(lambda u: math.sqrt(1.0 + a * u) * math.exp(-u),
                         0.0, math.inf, epsabs=1e-12, epsrel=1e-12)
     closed = 1.0 + 0.5 * math.sqrt(a * math.pi) * float(erfcx(1.0 / math.sqrt(a)))

@@ -59,7 +59,9 @@ def legendre_p(l: int, t):
 def legendre_weighted_sum(weights, t):
     """sum_l weights[l] * P_l(t) in one upward pass.
 
-    weights indexes degrees 0..L; t scalar or ndarray in [-1, 1].
+    weights indexes degrees 0..L; t scalar or ndarray in [-1, 1]. The
+    recurrence runs in three rotating buffers, in the operation order of
+    ((2k+1) t p - k p_prev) / (k+1); zero weights add nothing and are skipped.
     """
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 1 or weights.size == 0:
@@ -70,9 +72,16 @@ def legendre_weighted_sum(weights, t):
     if weights.size > 1:
         p = arr.copy()
         acc = acc + weights[1] * p
+        nxt = np.empty_like(arr)
         for k in range(1, weights.size - 1):
-            p, p_prev = ((2 * k + 1) * arr * p - k * p_prev) / (k + 1), p
-            acc = acc + weights[k + 1] * p
+            np.multiply(arr, 2 * k + 1, out=nxt)
+            nxt *= p
+            p_prev *= k
+            nxt -= p_prev
+            nxt /= k + 1
+            p_prev, p, nxt = p, nxt, p_prev
+            if weights[k + 1] != 0.0:
+                acc += weights[k + 1] * p
     return float(acc) if arr.ndim == 0 else acc
 
 

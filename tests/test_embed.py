@@ -119,6 +119,10 @@ def test_canonical_distance_rows():
         paired = dist.rows(np.stack([p.coords for p in X]), C)
         for x, y, got in zip(X, Y, paired):
             assert got == pytest.approx(em.dist_lambda(emb, x, y), abs=1e-12)
+        row = dist.substrate_rows(C)
+        for j in (0, 7):
+            # compared squared: the square root magnifies rounding near zero
+            assert np.allclose(row(j) ** 2, dist.rows(C[j], C) ** 2, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("model,lam", [(SPHERE, 9.0), (SPHERE, 60.0), (TORUS, 5.0)])

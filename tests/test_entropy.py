@@ -1,10 +1,15 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import eigenband
 from eigenband import embed as em
 from eigenband import entropy as en
 from eigenband import manifold as mf
@@ -97,6 +102,54 @@ def test_covering_curve_validation():
         en.covering_curve(pts, dg, [0.5, 1.0])
     with pytest.raises(ValueError):
         en.covering_curve(pts, dg, [1.0, -0.5])
+
+
+class _KernelRows:
+    """A distance's rows(x, C) route alone, without its substrate rows."""
+
+    def __init__(self, distance):
+        self.name = distance.name
+        self.rows = distance.rows
+
+
+def _jittered_grid(model, count, seed):
+    """quasi_uniform_grid moved off its symmetries, so that no two distances
+    tie exactly; an exact tie may be broken differently by two routes'
+    rounding."""
+    rng = np.random.default_rng(seed)
+    C = np.stack([p.coords for p in mf.quasi_uniform_grid(model, count)])
+    C = C + 0.01 * rng.standard_normal(C.shape)
+    if model.kind == mf.SPHERE2:
+        C /= np.linalg.norm(C, axis=1, keepdims=True)
+    else:
+        C = np.mod(C, np.array(model.side_lengths))
+    return [mf.make_point(model, c) for c in C]
+
+
+@pytest.mark.parametrize("model,lam,fractions", [
+    (SPHERE, 9.0, (0.5, 0.35, 0.25)),
+    (SPHERE, 40.0, (0.9, 0.75, 0.6)),
+    (TORUS, 6.0, (0.7, 0.55, 0.45)),
+])
+def test_substrate_rows_match_kernel_rows(model, lam, fractions):
+    # feature-matrix rows against the addition-theorem rows: same traversal
+    pts = _jittered_grid(model, 2000, 29)
+    C = np.stack([p.coords for p in pts])
+    emb = em.make_embedding(model, lam)
+    dist = em.CanonicalDistance(emb)
+    ref = _KernelRows(dist)
+    eps = [f * em.diameter_estimate(emb, 4000) for f in fractions]
+    order, radii, _ = en._farthest_point_order(en._row_source(dist, C), eps[-1])
+    ref_order, ref_radii, _ = en._farthest_point_order(en._row_source(ref, C), eps[-1])
+    assert len(order) > 50
+    assert order == ref_order
+    assert np.allclose(radii[1:], ref_radii[1:], rtol=0, atol=1e-12)
+    curve = en.covering_curve(pts, dist, eps)
+    assert curve == en.covering_curve(pts, ref, eps)
+    net = en.greedy_net(pts, dist, eps[1])
+    ref_net = en.greedy_net(pts, ref, eps[1])
+    assert [id(c) for c in net.centers] == [id(c) for c in ref_net.centers]
+    assert net.covered_check == pytest.approx(ref_net.covered_check, abs=1e-12)
 
 
 def test_dimension_recovery_geodesic():
@@ -203,3 +256,14 @@ def test_gaussian_tail_estimate():
     for x in (1.0, 2.0, 4.0, 8.0):
         tail = quad(lambda y: math.exp(-y * y / 2.0), x, math.inf)[0]
         assert tail <= math.exp(-x * x / 2.0) / x
+
+
+def test_import_does_not_load_scipy():
+    # scipy is imported only by the functions that need it
+    src = str(Path(eigenband.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, eigenband; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
