@@ -14,33 +14,24 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
-from eigenband import basis as bs
 from eigenband import embed as em
 from eigenband import manifold as mf
-from eigenband import spectrum as sp
 
 
-def kernel_min_route(model, lam, grid=401):
+def kernel_min_route(emb, grid=401):
     """Diameter via the translation-invariant kernel minimum.
 
     On the torus E(x, y) depends only on the offset x - y, so the
-    farthest pair realizes min_delta E(delta) exactly. d^2 =
-    2 (m/vol) (1 - c_min) / k^2 with c_min = min E * vol / m.
+    farthest pair realizes min_delta E(delta) exactly. The kernel is
+    even in each offset component, so the full product grid with
+    2 (grid - 1) nodes per axis holds the quarter-domain offset grid of
+    grid^2 points at the same spacing; diameter_estimate scans it by one
+    inverse FFT. c_min = min E * vol / m follows from
+    d^2 = 2 (m/vol) (1 - c_min) / k^2.
     """
-    band = sp.enumerate_band(model, lam)
-    l1, l2 = model.side_lengths
-    # cosine symmetry: offsets in the quarter domain suffice
-    u = np.linspace(0.0, l1 / 2.0, grid)
-    v = np.linspace(0.0, l2 / 2.0, grid)
-    uu, vv = np.meshgrid(u, v, indexing="ij")
-    coords = np.column_stack([uu.ravel(), vv.ravel()])
-    phi0 = bs.mode_matrix(model, band.modes, np.zeros((1, 2)))[0]
-    values = bs.mode_matrix(model, band.modes, coords) @ phi0
-    c_min = float(values.min()) * model.volume / band.m_lambda
-    d = math.sqrt(2.0 * (band.m_lambda / model.volume) * (1.0 - c_min)) \
-        / band.k_lambda
+    band, model = emb.band, emb.model
+    d = em.diameter_estimate(emb, (2 * (grid - 1)) ** 2)
+    c_min = 1.0 - (d * band.k_lambda) ** 2 * model.volume / (2.0 * band.m_lambda)
     return d, c_min
 
 
@@ -58,7 +49,7 @@ def main(argv=None):
     print(f"torus {model.side_lengths}, lambda = {args.lam:g}, "
           f"band dim = {emb.band.m_lambda}")
     print(f"flat reference sqrt(2/vol)      : {flat_ref:.5f}")
-    limit, c_min = kernel_min_route(model, args.lam, args.offset_grid)
+    limit, c_min = kernel_min_route(emb, args.offset_grid)
     print(f"kernel-min route (grid {args.offset_grid}^2): {limit:.5f}   "
           f"(kernel min / diagonal = {c_min:+.4f})")
     print(f"rel deviation from flat ref     : {limit / flat_ref - 1.0:+.4f}")

@@ -20,6 +20,7 @@ __all__ = [
     "eval_mode",
     "grad_mode",
     "mode_matrix",
+    "torus_grid_values",
     "gradient_matrix",
     "orthonormality_check",
 ]
@@ -31,41 +32,37 @@ _SQRT2 = math.sqrt(2.0)
 # normalized associated Legendre rows, vectorized over points
 
 
-def _degree_value_rows(l: int, t: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Rows m = 0..l of the fully normalized P at degree l."""
-    rows = np.empty((l + 1, t.size))
+def _degree_value_rows(l: int, t: np.ndarray, s: np.ndarray):
+    """(m, row of the fully normalized Pbar_l^m) for m = 0..l, one order at a time."""
     diag = np.full(t.size, INV_SQRT_4PI)
     for m in range(l + 1):
         if m > 0:
             diag = diag * math.sqrt((2 * m + 1) / (2.0 * m)) * s
-        rows[m], _ = assoc_legendre_upward(l, m, t, diag)
-    return rows
+        yield m, assoc_legendre_upward(l, m, t, diag)[0]
 
 
 def _degree_gradient_rows(l: int, t: np.ndarray, s: np.ndarray):
-    """(d/dtheta Pbar_l^m, Pbar_l^m / sin theta) rows for m = 0..l.
+    """(m, d/dtheta Pbar_l^m, Pbar_l^m / sin theta) for m = 1..l, then m = 0.
 
     The over-sine rows use the ratio recurrence seeded at sin^(m-1), so both
-    outputs stay finite at the poles; the m = 0 over-sine row is unused and
-    left at zero.
+    rows stay finite at the poles; the m = 0 over-sine row is unused and
+    given as None.
     """
-    dtheta = np.empty((l + 1, t.size))
-    over_s = np.zeros((l + 1, t.size))
     # m = 0 from the m = 1 value row: d/dtheta Pbar_l^0 = -sqrt(l(l+1)) Pbar_l^1
     diag = np.full(t.size, INV_SQRT_4PI * math.sqrt(3.0 / 2.0))
+    over_s1 = None
     for m in range(1, l + 1):
         if m > 1:
             diag = diag * math.sqrt((2 * m + 1) / (2.0 * m)) * s
         r_l, r_lm1 = assoc_legendre_upward(l, m, t, diag)
-        over_s[m] = r_l
+        if m == 1:
+            over_s1 = r_l
         c = math.sqrt((l * l - m * m) * (2.0 * l + 1.0) / (2.0 * l - 1.0)) if l > m else 0.0
-        dtheta[m] = l * t * r_l - c * r_lm1
+        yield m, l * t * r_l - c * r_lm1, r_l
     if l >= 1:
-        p_l1 = over_s[1] * s
-        dtheta[0] = -math.sqrt(l * (l + 1.0)) * p_l1
+        yield 0, -math.sqrt(l * (l + 1.0)) * (over_s1 * s), None
     else:
-        dtheta[0] = 0.0
-    return dtheta, over_s
+        yield 0, np.zeros(t.size), None
 
 
 def _sphere_angles(coords: np.ndarray):
@@ -76,30 +73,27 @@ def _sphere_angles(coords: np.ndarray):
     return t, s, phi
 
 
-def _group_degrees(modes) -> dict[int, list[tuple[int, int]]]:
-    """l -> [(column index, m)] preserving mode order."""
-    groups: dict[int, list[tuple[int, int]]] = {}
+def _group_degrees(modes) -> dict[int, dict[int, list[tuple[int, int]]]]:
+    """l -> |m| -> [(column index, m)], preserving mode order."""
+    groups: dict[int, dict[int, list[tuple[int, int]]]] = {}
     for j, mode in enumerate(modes):
         l, m = mode.label
-        groups.setdefault(l, []).append((j, m))
+        groups.setdefault(l, {}).setdefault(abs(m), []).append((j, m))
     return groups
 
 
 def _sphere_value_matrix(modes, coords: np.ndarray) -> np.ndarray:
+    # one order's Legendre row and azimuthal factors alive at a time
     t, s, phi = _sphere_angles(coords)
     out = np.empty((len(coords), len(modes)))
-    for l, cols in _group_degrees(modes).items():
-        rows = _degree_value_rows(l, t, s)
-        ms = sorted({abs(m) for _, m in cols if m != 0})
-        cos_t = {m: np.cos(m * phi) for m in ms}
-        sin_t = {m: np.sin(m * phi) for m in ms}
-        for j, m in cols:
-            if m == 0:
-                out[:, j] = rows[0]
-            elif m > 0:
-                out[:, j] = _SQRT2 * rows[m] * cos_t[m]
-            else:
-                out[:, j] = _SQRT2 * rows[-m] * sin_t[-m]
+    for l, orders in _group_degrees(modes).items():
+        for m, row in _degree_value_rows(l, t, s):
+            for j, signed in orders.get(m, ()):
+                if m == 0:
+                    out[:, j] = row
+                else:
+                    trig = np.cos if signed > 0 else np.sin
+                    out[:, j] = _SQRT2 * row * trig(m * phi)
     return out
 
 
@@ -131,6 +125,29 @@ def mode_matrix(model: ManifoldModel, modes, coords: np.ndarray) -> np.ndarray:
     return _torus_value_matrix(model, modes, coords)
 
 
+def torus_grid_values(model: ManifoldModel, modes, A: np.ndarray, counts) -> np.ndarray:
+    """Values of the coefficient columns of A (modes x columns) on the torus
+    product grid with counts[i] nodes on axis i: (columns, points), points
+    in the C order of manifold.product_grid.
+
+    A mode of frequency 2 pi k / L has phase 2 pi k.j / c at node j, so the
+    values are one inverse FFT of the coefficients placed at k mod counts,
+    exact for any counts.
+    """
+    counts = tuple(counts)
+    size = math.prod(counts)
+    labels = [mode.label for mode in modes]
+    K = np.array([k for k, _ in labels])
+    at = np.ravel_multi_index(tuple((K % np.array(counts)).T), counts)
+    # a cos(theta) + b sin(theta) = Re((a - i b) e^{i theta})
+    phase = np.array([1.0 if flavor == "cos" else -1j for _, flavor in labels])
+    lattice = np.zeros((A.shape[1], *counts), dtype=complex)
+    np.add.at(lattice.reshape(-1, size), (slice(None), at), A.T * phase)
+    # in place, so the call holds one complex lattice, not two
+    V = np.fft.ifftn(lattice, axes=tuple(range(1, len(counts) + 1)), out=lattice)
+    return V.real.reshape(-1, size) * (size * math.sqrt(2.0 / model.volume))
+
+
 def _sphere_gradient_ambient(modes, coords: np.ndarray) -> np.ndarray:
     """Ambient-3-vector gradients, shape (n_points, n_modes, 3)."""
     t, s, phi = _sphere_angles(coords)
@@ -138,21 +155,18 @@ def _sphere_gradient_ambient(modes, coords: np.ndarray) -> np.ndarray:
     e_theta = np.stack([t * cphi, t * sphi, -s], axis=1)
     e_phi = np.stack([-sphi, cphi, np.zeros_like(phi)], axis=1)
     out = np.zeros((len(coords), len(modes), 3))
-    for l, cols in _group_degrees(modes).items():
-        dtheta, over_s = _degree_gradient_rows(l, t, s)
-        ms = sorted({abs(m) for _, m in cols if m != 0})
-        cos_t = {m: np.cos(m * phi) for m in ms}
-        sin_t = {m: np.sin(m * phi) for m in ms}
-        for j, m in cols:
-            if m == 0:
-                dth, dph = dtheta[0], np.zeros_like(phi)
-            elif m > 0:
-                dth = _SQRT2 * dtheta[m] * cos_t[m]
-                dph = -_SQRT2 * m * over_s[m] * sin_t[m]
-            else:
-                dth = _SQRT2 * dtheta[-m] * sin_t[-m]
-                dph = _SQRT2 * (-m) * over_s[-m] * cos_t[-m]
-            out[:, j, :] = dth[:, None] * e_theta + dph[:, None] * e_phi
+    for l, orders in _group_degrees(modes).items():
+        for m, dtheta, over_s in _degree_gradient_rows(l, t, s):
+            for j, signed in orders.get(m, ()):
+                if m == 0:
+                    dth, dph = dtheta, np.zeros_like(phi)
+                elif signed > 0:
+                    dth = _SQRT2 * dtheta * np.cos(m * phi)
+                    dph = -_SQRT2 * m * over_s * np.sin(m * phi)
+                else:
+                    dth = _SQRT2 * dtheta * np.sin(m * phi)
+                    dph = _SQRT2 * m * over_s * np.cos(m * phi)
+                out[:, j, :] = dth[:, None] * e_theta + dph[:, None] * e_phi
     return out
 
 

@@ -231,24 +231,20 @@ def pullback_metric(embedding: Embedding, x: Point, method: str = "gradient") ->
         G = bs.gradient_matrix(model, band.modes, x)
         mat = (G.T @ G) / k2
     elif method == "kernel_fd":
-        # g_ab = -(1/k^2) d^2/du_a du_b E(x, exp_x(u)) at u = 0
+        # g_ab = -(1/k^2) d^2/du_a du_b E(x, exp_x(u)) at u = 0, by the
+        # four-point mixed difference, all a <= b in one kernel call
         h = FD_STEP_SCALE / mean_frequency(band)
         n = model.dim
+        E = h * np.eye(n)
+        upper = np.triu_indices(n)
+        steps = np.concatenate([np.stack([E[a] + E[b], E[a] - E[b], E[b] - E[a], -E[a] - E[b]])
+                                for a, b in zip(*upper)])
+        xc = mf.check_point(model, x)
+        Y = mf.exp_map_rows(model, np.broadcast_to(xc, (len(steps), len(xc))), steps)
+        vals = _kernel(model, embedding.terms, xc, Y).reshape(-1, 4)
         mat = np.empty((n, n))
-
-        def at(u):
-            return band_kernel(embedding, x, mf.exp_map(model, x, u))
-
-        for a in range(n):
-            for b in range(a, n):
-                ea = np.zeros(n)
-                eb = np.zeros(n)
-                ea[a] = h
-                eb[b] = h
-                val = -(at(ea + eb) - at(ea - eb) - at(eb - ea) + at(-ea - eb)) \
-                    / (4.0 * h * h * k2)
-                mat[a, b] = val
-                mat[b, a] = val
+        mat[upper] = -(vals[:, 0] - vals[:, 1] - vals[:, 2] + vals[:, 3]) / (4.0 * h * h * k2)
+        mat.T[upper] = mat[upper]
     else:
         raise ValueError(f"unknown pullback method {method!r}")
     mat = 0.5 * (mat + mat.T)
@@ -366,19 +362,18 @@ def _kernel_min_theta(embedding: Embedding, thetas: np.ndarray, levels: int = 6)
     return 0.5 * (lo + hi)
 
 
-# kernel entries (grid points x frequency rows) per torus diameter chunk
-_DIAMETER_CHUNK = 1 << 18
-
-
 def diameter_estimate(embedding: Embedding, grid_size: int) -> float:
     """Largest dist_lambda over a quasi-uniform grid of about grid_size points.
 
     Sphere bands: dist_lambda depends only on the geodesic angle, so the
     scan runs over [0, pi] directly with local grid refinement. Torus: the
     pairwise minimal-image displacements of a product grid form the same
-    grid, so one kernel sweep over the grid covers every pair.
+    grid, so the farthest pair sits at the minimum of E(0, .) over the grid.
+    E(0, .) is the wave whose coefficients are the modes' values at the
+    origin, so one inverse FFT (basis.torus_grid_values) gives it on the
+    whole grid; the distance is then taken at its argmin node.
     """
-    _require_modes(embedding)
+    band = _require_modes(embedding)
     model = embedding.model
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
@@ -386,17 +381,11 @@ def diameter_estimate(embedding: Embedding, grid_size: int) -> float:
         theta = _kernel_min_theta(embedding, np.linspace(0.0, math.pi, max(grid_size, 64)))
         y = mf.make_point(model, (math.sin(theta), 0.0, math.cos(theta)))
         return dist_lambda(embedding, mf.make_point(model, (0.0, 0.0, 1.0)), y)
-    grid = mf.grid_coords(model, grid_size)
+    counts = mf.torus_axis_counts(model, grid_size)
     origin = np.zeros(model.dim)
-    best_val = np.inf
-    best_row = None
-    step = max(1, _DIAMETER_CHUNK // len(embedding.terms))
-    for start in range(0, len(grid), step):
-        chunk = grid[start:start + step]
-        vals = _kernel(model, embedding.terms, origin, chunk)
-        j = int(vals.argmin())
-        if vals[j] < best_val:
-            best_val = float(vals[j])
-            best_row = chunk[j].copy()
-    return dist_lambda(embedding, mf.make_point(model, origin),
-                       mf.make_point(model, best_row))
+    phi0 = bs.mode_matrix(model, band.modes, origin[None, :]).T
+    E = bs.torus_grid_values(model, band.modes, phi0, counts)[0]
+    node = np.unravel_index(int(E.argmin()), counts)
+    # the node's coordinates as manifold.product_grid builds them
+    far = np.array([i * (L / n) for i, n, L in zip(node, counts, model.side_lengths)])
+    return dist_lambda(embedding, mf.make_point(model, origin), mf.make_point(model, far))

@@ -34,6 +34,7 @@ __all__ = [
     "quasi_uniform_grid",
     "grid_coords",
     "product_grid",
+    "torus_axis_counts",
     "tangent_frame",
     "tangent_frame_rows",
     "exp_map",
@@ -195,7 +196,9 @@ def _fibonacci_coords(count: int) -> np.ndarray:
     return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
 
 
-def _torus_axis_counts(model: ManifoldModel, count_hint: int) -> list[int]:
+def torus_axis_counts(model: ManifoldModel, count_hint: int) -> list[int]:
+    """Per-axis node counts of the torus grid_coords grid: proportional to
+    the side lengths, with product at least count_hint."""
     h = (model.volume / count_hint) ** (1.0 / model.dim)
     counts = [max(1, math.ceil(L / h - 1e-9)) for L in model.side_lengths]
     while math.prod(counts) < count_hint:
@@ -209,7 +212,7 @@ def grid_coords(model: ManifoldModel, count_hint: int) -> np.ndarray:
         raise ValueError(f"count_hint must be >= 1, got {count_hint}")
     if model.kind == SPHERE2:
         return _fibonacci_coords(count_hint)
-    return product_grid(model, _torus_axis_counts(model, count_hint))
+    return product_grid(model, torus_axis_counts(model, count_hint))
 
 
 def product_grid(model: ManifoldModel, counts) -> np.ndarray:

@@ -70,28 +70,35 @@ def _sphere_degree_ceiling(lam: float) -> int:
     return l
 
 
-def _torus_lattice(model: ManifoldModel, mu_max: float) -> np.ndarray:
-    """All nonzero lattice vectors k with |2 pi k / L| <= mu_max."""
-    kmax = [int(math.ceil(mu_max * L / (2.0 * math.pi))) for L in model.side_lengths]
-    axes = [np.arange(-k, k + 1) for k in kmax]
-    rest = None
-    if model.dim > 1:
-        mesh = np.meshgrid(*axes[1:], indexing="ij")
-        rest = [m.ravel() for m in mesh]
-    out = []
-    # slice over the first axis to bound memory at desk scale
-    for k1 in axes[0]:
-        if rest is None:
-            block = np.array([[k1]])
-        else:
-            block = np.stack([np.full(rest[0].size, k1)] + rest, axis=1)
-        mu = _torus_mu(model, block)
-        keep = (mu > 0) & (mu <= mu_max)
-        if np.any(keep):
-            out.append(block[keep])
-    if not out:
-        return np.zeros((0, model.dim), dtype=int)
-    return np.concatenate(out, axis=0)
+def _torus_lattice(model: ManifoldModel, lo: float, hi: float) -> np.ndarray:
+    """All nonzero lattice vectors k with lo < |2 pi k / L| <= hi.
+
+    Only the shell is enumerated: for each prefix (k_1..k_{n-1}) inside the
+    ball of radius hi, the last axis runs over the |k_n| interval that the
+    shell bounds give, widened by one on each side, and the frequency test
+    decides.
+    """
+    lo = max(lo, 0.0)
+    *head, last = model.side_lengths
+    axes = [np.arange(-k, k + 1) for k in
+            (int(math.ceil(hi * L / (2.0 * math.pi))) for L in head)]
+    prefix = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1) \
+        if head else np.zeros((1, 0), dtype=int)
+    # the frequency of (prefix, 0), a floor on that of every (prefix, k_n)
+    p = _torus_mu(model, np.pad(prefix, ((0, 0), (0, 1))))
+    prefix, p = prefix[p <= hi], p[p <= hi]
+    per_unit = last / (2.0 * math.pi)
+    k_lo = np.ceil(np.sqrt(np.maximum(0.0, lo * lo - p * p)) * per_unit) - 1
+    k_hi = np.floor(np.sqrt(np.maximum(0.0, hi * hi - p * p)) * per_unit) + 1
+    k_lo = np.maximum(k_lo, 0).astype(int)
+    lengths = np.maximum(k_hi.astype(int) - k_lo + 1, 0)
+    row = np.repeat(np.arange(len(prefix)), lengths)
+    kn = k_lo[row] + np.arange(len(row)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    # both signs of every nonzero |k_n|
+    row = np.concatenate([row, row[kn > 0]])
+    k = np.column_stack([prefix[row], np.concatenate([kn, -kn[kn > 0]])])
+    mu = _torus_mu(model, k)
+    return k[(mu > lo) & (mu <= hi)]
 
 
 def _torus_mu(model: ManifoldModel, k: np.ndarray) -> np.ndarray:
@@ -123,8 +130,8 @@ def band_terms(model: ManifoldModel, lo: float, hi: float) -> np.ndarray:
         return np.array([l for l in range(first, last + 1)
                          if lo < math.sqrt(l * (l + 1.0)) <= hi], dtype=int)
     if model.kind == FLAT_TORUS:
-        lattice = _torus_lattice(model, hi)
-        reps = lattice[(_torus_mu(model, lattice) > lo) & _half_space(lattice)]
+        lattice = _torus_lattice(model, lo, hi)
+        reps = lattice[_half_space(lattice)]
         return reps[np.lexsort(reps.T[::-1])]
     raise ValueError(f"unknown manifold kind {model.kind!r}")
 
@@ -157,7 +164,7 @@ def eigenvalue_count(model: ManifoldModel, lam: float) -> int:
     if model.kind == SPHERE2:
         l = _sphere_degree_ceiling(lam)
         return l * (l + 2)
-    return len(_torus_lattice(model, lam))
+    return len(_torus_lattice(model, 0.0, lam))
 
 
 def weyl_count_deviation(model: ManifoldModel, lam: float) -> float:

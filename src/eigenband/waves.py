@@ -11,9 +11,9 @@ ladder level, and keeping every level's refinement candidates, makes the
 estimate monotone nondecreasing in the requested density.
 
 Each level's values are inverse FFTs. On the torus a level is a product
-grid of c points per axis, where a mode of frequency 2 pi k / L has phase
-2 pi k.j / c at node j, so the level is one inverse FFT of the coefficients
-placed at k mod c (exact for any c). On the sphere a level is N equiangular
+grid of c points per axis, and basis.torus_grid_values (shared with the
+torus diameter scan) gives it as one inverse FFT of the coefficients placed
+at k mod c, exact for any c. On the sphere a level is N equiangular
 rings theta_j = (j + 1/2) pi / N with 2N azimuths pi k / N each; along a
 ring a wave is a trigonometric polynomial in phi of order at most l < N, so
 one row-wise irfft of its azimuthal spectrum, built from a table of the
@@ -160,10 +160,6 @@ class _SupLevels:
             self.shapes = [tuple(max(1, math.ceil(L / s)) for L in self.model.side_lengths)
                            for s in self.spacings]
             self.coords = [mf.product_grid(self.model, c) for c in self.shapes]
-            K = np.array([k for k, _ in labels])
-            self._at = [np.ravel_multi_index(tuple((K % np.array(c)).T), c) for c in self.shapes]
-            # a cos(theta) + b sin(theta) = Re((a - i b) e^{i theta})
-            self._phase = np.array([1.0 if flavor == "cos" else -1j for _, flavor in labels])
         self.grid_points = sum(len(C) for C in self.coords)
 
     def _level_values(self, li: int, Ab: np.ndarray) -> np.ndarray:
@@ -176,12 +172,7 @@ class _SupLevels:
             spec = np.zeros((Ab.shape[1], rings, rings + 1), dtype=complex)
             spec[:, :, self._orders] = np.add.reduceat(terms, self._starts, axis=2)
             return np.fft.irfft(spec, n=2 * rings, axis=2).reshape(-1, size)
-        lattice = np.zeros((Ab.shape[1], *shape), dtype=complex)
-        np.add.at(lattice.reshape(-1, size), (slice(None), self._at[li]), Ab.T * self._phase)
-        axes = tuple(range(1, len(shape) + 1))
-        # in place, so a block holds one complex lattice at a time
-        V = np.fft.ifftn(lattice, axes=axes, out=lattice).real.reshape(-1, size)
-        return V * (size * math.sqrt(2.0 / self.model.volume))
+        return bs.torus_grid_values(self.model, self.band.modes, Ab, shape)
 
     def _level_peaks(self, li: int, A: np.ndarray, use_abs: bool):
         n_waves = A.shape[1]

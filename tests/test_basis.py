@@ -72,6 +72,24 @@ def test_torus_values_by_formula():
         assert np.allclose(V[:, j], ref, atol=1e-13)
 
 
+@pytest.mark.parametrize("sides,lam,counts", [
+    ((2.0 * math.pi,), 30.0, (97,)),
+    ((2.0 * math.pi, 2.0 * math.pi), 12.0, (40, 40)),
+    ((2.0 * math.pi, 1.5 * math.pi), 9.0, (31, 24)),
+    # fewer nodes than frequencies on an axis: the lattice wraps
+    ((2.0 * math.pi, 1.5 * math.pi), 9.0, (7, 5)),
+    ((3.0, 4.0, 5.0), 6.0, (9, 12, 14)),
+])
+def test_torus_grid_values_match_mode_matrix(sides, lam, counts):
+    model = mf.flat_torus(sides)
+    band = sp.enumerate_band(model, lam)
+    A = np.random.Generator(np.random.Philox(6)).standard_normal((band.m_lambda, 3))
+    ref = (bs.mode_matrix(model, band.modes, mf.product_grid(model, counts)) @ A).T
+    V = bs.torus_grid_values(model, band.modes, A, counts)
+    assert V.shape == (3, math.prod(counts))
+    assert np.allclose(V, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+
 def _fd_gradient(model, modes, x, h=1e-6):
     n = model.dim
     out = np.zeros((len(modes), n))

@@ -137,6 +137,28 @@ def test_pullback_metric_routes_agree(model, lam):
         assert np.allclose(g, g.T, atol=1e-12)
 
 
+@pytest.mark.parametrize("model,lam", [(SPHERE, 60.0), (TORUS, 5.0),
+                                       (mf.flat_torus((3.0, 4.0, 5.0)), 6.0)])
+def test_kernel_fd_matches_pointwise_differences(model, lam):
+    # the four-point mixed difference, one kernel pair at a time
+    emb = em.make_embedding(model, lam)
+    h = em.FD_STEP_SCALE / sp.mean_frequency(emb.band)
+    n, k2 = model.dim, emb.band.k_lambda ** 2
+    X, _ = _pairs(model, 3, 73)
+    for x in X:
+        def at(u):
+            return em.band_kernel(emb, x, mf.exp_map(model, x, u))
+
+        want = np.empty((n, n))
+        for a in range(n):
+            for b in range(n):
+                ea, eb = h * np.eye(n)[a], h * np.eye(n)[b]
+                want[a, b] = -(at(ea + eb) - at(ea - eb) - at(eb - ea) + at(-ea - eb)) \
+                    / (4.0 * h * h * k2)
+        got = em.pullback_metric(emb, x, method="kernel_fd").matrix
+        assert np.allclose(got, want, rtol=0, atol=1e-6 * np.abs(want).max())
+
+
 def test_pullback_metric_sphere_isotropic():
     emb = em.make_embedding(SPHERE, 60.0)
     lam_bar = sp.mean_frequency(emb.band)
@@ -233,3 +255,21 @@ def test_diameter_matches_realized_pair():
     emb = em.make_embedding(SPHERE, 10.0)
     d = em.diameter_estimate(emb, 1500)
     assert 0.1 < d <= 2.0 / math.sqrt(4.0 * math.pi) + 0.05
+
+
+@pytest.mark.parametrize("sides,lam,size", [
+    ((2.0 * math.pi, 2.0 * math.pi), 40.0, 4000),
+    ((2.0 * math.pi, 1.5 * math.pi), 12.0, 3000),
+    ((2.0 * math.pi,), 30.0, 300),
+    ((3.0, 4.0, 5.0), 6.0, 8000),
+])
+def test_torus_diameter_matches_cosine_sweep(sides, lam, size):
+    # E(0, y) summed term by term over every node of the grid
+    model = mf.flat_torus(sides)
+    emb = em.make_embedding(model, lam)
+    grid = mf.grid_coords(model, size)
+    W = 2.0 * math.pi * sp.band_terms(model, lam, lam + 1.0) / np.array(sides)
+    E = (2.0 / model.volume) * np.cos(grid @ W.T).sum(axis=1)
+    k = emb.band.k_lambda
+    want = math.sqrt(max(0.0, 2.0 * (emb.band.m_lambda / model.volume - E.min()))) / k
+    assert em.diameter_estimate(emb, size) == pytest.approx(want, rel=1e-12)

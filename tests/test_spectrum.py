@@ -76,6 +76,50 @@ def test_torus_band_matches_brute_force():
     assert band.m_lambda == _torus_lattice_brute(rect, 6.0, 7.0)
 
 
+def _band_terms_box(model, lo, hi):
+    # every lattice vector of the bounding box, half-space representatives
+    kmax = [int(math.ceil(hi * L / (2.0 * math.pi))) for L in model.side_lengths]
+    box = np.stack([m.ravel() for m in np.meshgrid(
+        *[np.arange(-k, k + 1) for k in kmax], indexing="ij")], axis=1)
+    mu = np.sqrt(np.sum((2.0 * math.pi * box / np.array(model.side_lengths)) ** 2, axis=1))
+    first = box[np.arange(len(box)), np.argmax(box != 0, axis=1)]
+    return box[(mu > lo) & (mu <= hi) & (first > 0)]
+
+
+@pytest.mark.parametrize("sides,lo,hi", [
+    ((2.0 * math.pi, 2.0 * math.pi), 600.0, 601.0),
+    ((2.0 * math.pi, 1.1 * math.pi), 600.0, 601.0),
+    ((2.0 * math.pi, 2.0 * math.pi), 0.0, 40.0),
+    ((7.3,), 600.0, 601.0),
+    ((2.0, 3.0, 5.0), 40.0, 41.0),
+    ((2.0 * math.pi, 2.0 * math.pi), 5.0, 6.0),
+    ((2.0 * math.pi, 2.0 * math.pi), 4.0, 5.0),
+])
+def test_band_terms_match_box_scan(sides, lo, hi):
+    model = mf.flat_torus(sides)
+    got = sp.band_terms(model, lo, hi)
+    assert np.array_equal(got, _band_terms_box(model, lo, hi))
+    assert sp.eigenvalue_count(model, hi) - sp.eigenvalue_count(model, lo) == 2 * len(got)
+
+
+def test_band_terms_shell_boundary_is_half_open():
+    # on the 2 pi torus k = (3, 4) has mu = 5 exactly
+    assert [3, 4] not in sp.band_terms(TORUS, 5.0, 6.0).tolist()
+    assert [3, 4] in sp.band_terms(TORUS, 4.0, 5.0).tolist()
+
+
+@pytest.mark.parametrize("sides", [(2.0 * math.pi, 2.0 * math.pi), (2.0 * math.pi, 1.1 * math.pi),
+                                   (7.3,), (2.0, 3.0, 5.0)])
+def test_band_terms_bounds_at_lattice_frequencies(sides):
+    # a shell bound equal to a lattice vector's own computed frequency, where
+    # the last-axis interval meets rounding at its ends
+    model = mf.flat_torus(sides)
+    k = np.random.Generator(np.random.Philox(8)).integers(-10, 11, size=(30, len(sides)))
+    for mu in np.sqrt(np.sum((2.0 * math.pi * k / np.array(sides)) ** 2, axis=1)):
+        for lo, hi in ((mu, mu + 1.0), (mu - 1.0, mu)):
+            assert np.array_equal(sp.band_terms(model, lo, hi), _band_terms_box(model, lo, hi))
+
+
 def test_torus_modes_pair_cos_sin():
     band = sp.enumerate_band(TORUS, 5.0)
     flavors = {}
