@@ -1,0 +1,176 @@
+#!/usr/bin/env python3
+"""Paired end-to-end benchmark runs of this checkout against a parent revision.
+
+Run from anywhere inside the repository:
+
+    python3 scripts/bench.py --pr <n> --parent HEAD~1
+
+Every workload of BENCHMARK.json runs for its `run_seconds` on each seed.
+Each (workload, seed) runs `perfbench/run.py --trace 0` as a subprocess on
+the "change" side (this checkout, as it stands on disk) and, with --parent
+REV, on the "parent" side (REV's committed files, extracted by `git archive`
+into a temporary directory that is deleted afterwards). A seed is one pair,
+and the side that runs first alternates from seed to seed. A run that exits
+non-zero or times out is recorded as one failed operation. The result is
+BENCH_<pr>.json at the repository root: the environment, every run's
+metrics and, per workload, each side's median and quartiles of every metric
+and the number of pairs in which the change read better.
+
+Left out: the `--trace 1` per-layer runs and the seconds of each acceptance
+criterion. Both remain for a later version of this harness.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+
+
+def parse_run(stdout: str) -> dict:
+    """The result line of one perfbench run: correct, attempted, failed and
+    {metric: value}."""
+    result = json.loads(stdout.strip().splitlines()[-1])
+    return {"correct": result["correct"], "attempted": result["attempted"],
+            "failed": result["failed"],
+            "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def _quartiles(values: list[float]) -> dict:
+    q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                      if len(values) > 1 else values * 3)
+    return {"median": median, "q1": q1, "q3": q3, "runs": len(values)}
+
+
+def summarize(runs: list[dict], metrics: list[str]) -> dict:
+    """Per workload: each side's median and quartiles of every metric, the
+    failed operations, and for each metric how many seeds' pairs the change
+    won (read lower) and tied."""
+    out: dict = {}
+    for workload in dict.fromkeys(r["workload"] for r in runs):
+        mine = [r for r in runs if r["workload"] == workload]
+        by_seed = {side: {r["seed"]: r["metrics"] for r in mine if r["side"] == side}
+                   for side in SIDES}
+        entry: dict = {"failed_ops": {}, "sides": {}, "pairs": {}}
+        for side in SIDES:
+            rows = [r for r in mine if r["side"] == side]
+            if not rows:
+                continue
+            entry["failed_ops"][side] = sum(r["failed"] for r in rows)
+            entry["sides"][side] = {m: _quartiles([r["metrics"][m] for r in rows
+                                                   if m in r["metrics"]])
+                                    for m in metrics if any(m in r["metrics"] for r in rows)}
+        for m in metrics:
+            diffs = [by_seed["parent"][s][m] - by_seed["change"][s][m]
+                     for s in by_seed["change"]
+                     if m in by_seed["change"][s] and m in by_seed["parent"].get(s, {})]
+            if diffs:
+                entry["pairs"][m] = {"pairs": len(diffs),
+                                     "change_won": sum(d > 0 for d in diffs),
+                                     "ties": sum(d == 0 for d in diffs)}
+        out[workload] = entry
+    return out
+
+
+def environment() -> dict:
+    import numpy as np
+    import scipy
+
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "blas": f"{blas.get('name', '?')} {blas.get('version', '')}".strip(),
+            "cpu_count": os.cpu_count(), "platform": platform.platform()}
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
+def _extract(rev: str, dest: Path) -> None:
+    archive = subprocess.Popen(["git", "archive", "--format=tar", rev], cwd=ROOT,
+                               stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", str(dest)], stdin=archive.stdout, check=True)
+    archive.stdout.close()
+    if archive.wait() != 0:
+        raise SystemExit(f"bench: git archive {rev} failed")
+
+
+def _run(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    failed = {"correct": False, "attempted": 0, "failed": 1, "metrics": {}}
+    try:
+        proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
+                              timeout=30 * seconds + 600)
+    except subprocess.TimeoutExpired:
+        print(f"bench: {workload} seed {seed} timed out", file=sys.stderr)
+        return failed
+    if proc.returncode != 0 or not proc.stdout.strip():
+        sys.stderr.write(proc.stderr)
+        return failed
+    return parse_run(proc.stdout)
+
+
+def _seeds(text: str) -> list[int]:
+    if "-" in text:
+        lo, hi = (int(v) for v in text.split("-"))
+        return list(range(lo, hi + 1))
+    return [int(v) for v in text.split(",")]
+
+
+def main(argv=None) -> int:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--pr", type=int, required=True, help="writes BENCH_<pr>.json")
+    ap.add_argument("--parent", help="git revision to pair every run with")
+    ap.add_argument("--seeds", default="51-60", help="lo-hi or a comma list")
+    args = ap.parse_args(argv)
+    seconds = spec["run_seconds"]
+    seeds = _seeds(args.seeds)
+
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+        roots = {"change": ROOT}
+        if args.parent:
+            _extract(args.parent, Path(tmp))
+            roots["parent"] = Path(tmp)
+        runs = []
+        for workload in (w["name"] for w in spec["workloads"]):
+            for i, seed in enumerate(seeds):
+                order = [s for s in SIDES if s in roots]
+                if i % 2:
+                    order.reverse()
+                for side in order:
+                    t0 = time.perf_counter()
+                    run = _run(roots[side], workload, seed, seconds)
+                    runs.append({"workload": workload, "seed": seed, "side": side,
+                                 "first": side == order[0], **run})
+                    print(f"{workload} seed {seed} {side}: {run['metrics']} "
+                          f"({time.perf_counter() - t0:.0f} s)", file=sys.stderr)
+
+    report = {"pr": args.pr, "environment": environment(),
+              "settings": {"command": spec["command"], "seconds": seconds,
+                           "seeds": seeds, "trace": 0},
+              "revisions": {"change": _git("rev-parse", "HEAD")
+                            + (" + uncommitted changes" if _git("status", "--porcelain") else ""),
+                            **({"parent": _git("rev-parse", args.parent)} if args.parent else {})},
+              "summary": summarize(runs, [m["name"] for m in spec["end_to_end"]]), "runs": runs}
+    out = ROOT / f"BENCH_{args.pr}.json"
+    out.write_text(json.dumps(report, indent=1) + "\n")
+    print(f"wrote {out}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -130,22 +130,30 @@ def torus_grid_values(model: ManifoldModel, modes, A: np.ndarray, counts) -> np.
     product grid with counts[i] nodes on axis i: (columns, points), points
     in the C order of manifold.product_grid.
 
-    A mode of frequency 2 pi k / L has phase 2 pi k.j / c at node j, so the
-    values are one inverse FFT of the coefficients placed at k mod counts,
-    exact for any counts.
+    A mode of frequency 2 pi k / L has phase 2 pi k.j / c at node j, and
+    a cos + b sin = (a - i b)/2 e^{i theta} + (a + i b)/2 e^{-i theta}, so the
+    values are one real inverse FFT of the Hermitian lattice with those halves
+    at k and -k mod counts, exact for any counts. Only the half below
+    counts[-1] // 2 + 1 on the last axis is built; both halves can land on
+    its zero and Nyquist planes, where they are summed.
     """
     counts = tuple(counts)
     size = math.prod(counts)
+    half = (*counts[:-1], counts[-1] // 2 + 1)
     labels = [mode.label for mode in modes]
-    K = np.array([k for k, _ in labels])
-    at = np.ravel_multi_index(tuple((K % np.array(counts)).T), counts)
-    # a cos(theta) + b sin(theta) = Re((a - i b) e^{i theta})
-    phase = np.array([1.0 if flavor == "cos" else -1j for _, flavor in labels])
-    lattice = np.zeros((A.shape[1], *counts), dtype=complex)
-    np.add.at(lattice.reshape(-1, size), (slice(None), at), A.T * phase)
-    # in place, so the call holds one complex lattice, not two
-    V = np.fft.ifftn(lattice, axes=tuple(range(1, len(counts) + 1)), out=lattice)
-    return V.real.reshape(-1, size) * (size * math.sqrt(2.0 / model.volume))
+    K = np.array([k for k, _ in labels], dtype=np.intp).reshape(-1, len(counts))
+    sites = np.concatenate([K, -K]) % np.array(counts)
+    C = A.T * np.array([0.5 if flavor == "cos" else -0.5j for _, flavor in labels])
+    keep = sites[:, -1] < half[-1]
+    lattice = np.zeros((A.shape[1], *half), dtype=complex)
+    np.add.at(lattice.reshape(len(lattice), -1),
+              (slice(None), np.ravel_multi_index(tuple(sites[keep].T), half)),
+              np.concatenate([C, C.conj()], axis=1)[:, keep])
+    # irfftn's own steps, with the complex ones in place
+    for axis in range(1, len(counts)):
+        np.fft.ifft(lattice, axis=axis, out=lattice)
+    V = np.fft.irfft(lattice, n=counts[-1], axis=-1).reshape(-1, size)
+    return np.multiply(V, size * math.sqrt(2.0 / model.volume), out=V)
 
 
 def _sphere_gradient_ambient(modes, coords: np.ndarray) -> np.ndarray:

@@ -385,7 +385,5 @@ def diameter_estimate(embedding: Embedding, grid_size: int) -> float:
     origin = np.zeros(model.dim)
     phi0 = bs.mode_matrix(model, band.modes, origin[None, :]).T
     E = bs.torus_grid_values(model, band.modes, phi0, counts)[0]
-    node = np.unravel_index(int(E.argmin()), counts)
-    # the node's coordinates as manifold.product_grid builds them
-    far = np.array([i * (L / n) for i, n, L in zip(node, counts, model.side_lengths)])
+    far = mf.product_grid_nodes(model, counts, int(E.argmin()))
     return dist_lambda(embedding, mf.make_point(model, origin), mf.make_point(model, far))

@@ -34,6 +34,7 @@ __all__ = [
     "quasi_uniform_grid",
     "grid_coords",
     "product_grid",
+    "product_grid_nodes",
     "torus_axis_counts",
     "tangent_frame",
     "tangent_frame_rows",
@@ -217,9 +218,13 @@ def grid_coords(model: ManifoldModel, count_hint: int) -> np.ndarray:
 
 def product_grid(model: ManifoldModel, counts) -> np.ndarray:
     """Torus grid with counts[i] equispaced nodes on axis i, rows in C order."""
-    axes = [np.arange(n) * (L / n) for n, L in zip(counts, model.side_lengths)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    return product_grid_nodes(model, counts, np.arange(math.prod(counts)))
+
+
+def product_grid_nodes(model: ManifoldModel, counts, index) -> np.ndarray:
+    """Coordinates of the product_grid nodes at the flat C-order index."""
+    spacing = np.array(model.side_lengths) / np.array(counts)
+    return np.stack(np.unravel_index(index, tuple(counts)), axis=-1) * spacing
 
 
 def quasi_uniform_grid(model: ManifoldModel, count_hint: int) -> list[Point]:

@@ -12,12 +12,14 @@ estimate monotone nondecreasing in the requested density.
 
 Each level's values are inverse FFTs. On the torus a level is a product
 grid of c points per axis, and basis.torus_grid_values (shared with the
-torus diameter scan) gives it as one inverse FFT of the coefficients placed
-at k mod c, exact for any c. On the sphere a level is N equiangular
-rings theta_j = (j + 1/2) pi / N with 2N azimuths pi k / N each; along a
-ring a wave is a trigonometric polynomial in phi of order at most l < N, so
-one row-wise irfft of its azimuthal spectrum, built from a table of the
-normalized Legendre values on the rings, gives the level exactly.
+torus diameter scan) gives it as one real inverse FFT of the Hermitian
+half lattice holding the coefficients at +-k mod c, exact for any c. On the
+sphere a level is N equiangular rings theta_j = (j + 1/2) pi / N with 2N
+azimuths pi k / N each; along a ring a wave is a trigonometric polynomial in
+phi of order at most l < N, so one row-wise irfft of its azimuthal spectrum,
+built from a table of the normalized Legendre values on the rings, gives the
+level exactly. No level keeps its grid: a wave's peak node is computed from
+its argmax index.
 """
 
 from __future__ import annotations
@@ -111,13 +113,12 @@ def _ladder(density: float) -> list[float]:
     return levels
 
 
-def _ring_grid(rings: int) -> np.ndarray:
-    """Rings at colatitudes (j + 1/2) pi / rings, each with the 2 * rings
-    azimuths pi k / rings from 0; rows in (ring, azimuth) C order."""
-    theta = (np.arange(rings) + 0.5) * (math.pi / rings)
-    T, F = np.meshgrid(theta, np.arange(2 * rings) * (math.pi / rings), indexing="ij")
-    coords = np.stack([np.sin(T) * np.cos(F), np.sin(T) * np.sin(F), np.cos(T)], axis=-1)
-    return coords.reshape(-1, 3)
+def _ring_nodes(rings: int, index) -> np.ndarray:
+    """Nodes at the flat (ring j, azimuth k) C-order index of the grid with
+    colatitudes (j + 1/2) pi / rings and azimuths pi k / rings, k < 2 rings."""
+    j, k = np.divmod(index, 2 * rings)
+    T, F = (j + 0.5) * (math.pi / rings), k * (math.pi / rings)
+    return np.stack([np.sin(T) * np.cos(F), np.sin(T) * np.sin(F), np.cos(T)], axis=-1)
 
 
 # grid entries per block of waves in one level's inverse FFT
@@ -125,7 +126,7 @@ _CHUNK = 1 << 16
 
 
 class _SupLevels:
-    """Grids for one band and the scan of each level.
+    """Grid shapes for one band and the scan of each level.
 
     Torus levels place the coefficients on the frequency lattice; sphere
     levels hold each ring's normalized Legendre values, as a table whose
@@ -150,42 +151,48 @@ class _SupLevels:
             # the m > 0 bins and divides by 2 rings
             weight = (np.where(orders == 0, 2.0, 1.0)
                       * np.array([1.0 if m >= 0 else -1j for _, m in labels]))[self._sort]
-            self.coords = [_ring_grid(n) for n, in self.shapes]
+            self.sizes = [2 * n * n for n, in self.shapes]
             # at azimuth 0 (each ring's first point) a cos column of mode_matrix is
             # sqrt(2) Pbar_l^m(theta) and a sin column is 0: the cos column serves both
-            self._tables = [bs.mode_matrix(self.model, band.modes, C[::2 * n])[:, cos_of]
-                            [:, self._sort] * (n * weight)
-                            for C, (n,) in zip(self.coords, self.shapes)]
+            self._tables = [bs.mode_matrix(self.model, band.modes,
+                                           _ring_nodes(n, 2 * n * np.arange(n)))
+                            [:, cos_of][:, self._sort] * (n * weight) for n, in self.shapes]
         else:
             self.shapes = [tuple(max(1, math.ceil(L / s)) for L in self.model.side_lengths)
                            for s in self.spacings]
-            self.coords = [mf.product_grid(self.model, c) for c in self.shapes]
-        self.grid_points = sum(len(C) for C in self.coords)
+            self.sizes = [math.prod(c) for c in self.shapes]
+        self.grid_points = sum(self.sizes)
+
+    def nodes(self, li: int, index) -> np.ndarray:
+        """Coordinates of level li's grid nodes at the flat C-order index;
+        no level stores its grid."""
+        if self.model.kind == SPHERE2:
+            return _ring_nodes(self.shapes[li][0], index)
+        return mf.product_grid_nodes(self.model, self.shapes[li], index)
 
     def _level_values(self, li: int, Ab: np.ndarray) -> np.ndarray:
         """Values of the coefficient columns Ab on level li: (waves, grid points)."""
         shape = self.shapes[li]
-        size = len(self.coords[li])
         if self.model.kind == SPHERE2:
             rings = shape[0]
             terms = self._tables[li][None, :, :] * Ab[self._sort].T[:, None, :]
             spec = np.zeros((Ab.shape[1], rings, rings + 1), dtype=complex)
             spec[:, :, self._orders] = np.add.reduceat(terms, self._starts, axis=2)
-            return np.fft.irfft(spec, n=2 * rings, axis=2).reshape(-1, size)
+            return np.fft.irfft(spec, n=2 * rings, axis=2).reshape(-1, self.sizes[li])
         return bs.torus_grid_values(self.model, self.band.modes, Ab, shape)
 
     def _level_peaks(self, li: int, A: np.ndarray, use_abs: bool):
         n_waves = A.shape[1]
         vals = np.empty(n_waves)
         at = np.empty(n_waves, dtype=np.intp)
-        block = max(1, _CHUNK // len(self.coords[li]))
+        block = max(1, _CHUNK // self.sizes[li])
         for b in range(0, n_waves, block):
             V = self._level_values(li, A[:, b:b + block])
             if use_abs:
                 np.abs(V, out=V)
             at[b:b + block] = V.argmax(axis=1)
             vals[b:b + block] = V[np.arange(len(V)), at[b:b + block]]
-        return vals, self.coords[li][at]
+        return vals, self.nodes(li, at)
 
     def _values_at(self, P: np.ndarray, V: np.ndarray, A: np.ndarray,
                    use_abs: bool) -> np.ndarray:
@@ -222,7 +229,7 @@ class _SupLevels:
         """Sups for the coefficient columns of A, and each level's grid peaks
         (levels x waves); scan and refinement batched over the waves."""
         peaks, points = zip(*(self._level_peaks(li, A, use_abs)
-                              for li in range(len(self.coords))))
+                              for li in range(len(self.sizes))))
         sups = np.max(peaks, axis=0)
         for P, f0, h in zip(points, peaks, self.spacings):
             np.maximum(sups, self._refined(P, f0, h, A, use_abs), out=sups)

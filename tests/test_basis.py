@@ -79,6 +79,14 @@ def test_torus_values_by_formula():
     # fewer nodes than frequencies on an axis: the lattice wraps
     ((2.0 * math.pi, 1.5 * math.pi), 9.0, (7, 5)),
     ((3.0, 4.0, 5.0), 6.0, (9, 12, 14)),
+    # even count: k = 31 sits on the Nyquist site, where -k lands too
+    ((2.0 * math.pi,), 30.0, (62,)),
+    # modes on the last axis's zero and Nyquist planes, and k = -k mod counts
+    ((2.0 * math.pi, 2.0 * math.pi), 10.0, (9, 22)),
+    ((3.0, 4.0, 5.0), 6.0, (4, 6, 8)),
+    # odd last-axis counts, a coarse one, and a single node on the last axis
+    ((2.0 * math.pi, 1.5 * math.pi), 9.0, (6, 7)),
+    ((2.0 * math.pi, 2.0 * math.pi), 5.0, (5, 1)),
 ])
 def test_torus_grid_values_match_mode_matrix(sides, lam, counts):
     model = mf.flat_torus(sides)
@@ -88,6 +96,15 @@ def test_torus_grid_values_match_mode_matrix(sides, lam, counts):
     V = bs.torus_grid_values(model, band.modes, A, counts)
     assert V.shape == (3, math.prod(counts))
     assert np.allclose(V, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+
+def test_torus_grid_values_empty_modes():
+    model = mf.flat_torus((2.0 * math.pi, 3.0))
+    A = np.zeros((0, 3))
+    ref = (bs.mode_matrix(model, [], mf.product_grid(model, (4, 5))) @ A).T
+    V = bs.torus_grid_values(model, [], A, (4, 5))
+    assert V.shape == (3, 20)
+    assert np.array_equal(V, ref)
 
 
 def _fd_gradient(model, modes, x, h=1e-6):

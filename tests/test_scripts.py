@@ -1,7 +1,10 @@
 """Smoke tests for the study scripts, so they cannot rot unseen."""
 
 import importlib.util
+import json
 from pathlib import Path
+
+import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -19,3 +22,46 @@ def test_diameter_study_runs(capsys):
     out = capsys.readouterr().out
     assert "kernel-min route (grid 101^2)" in out
     assert "kernel min / diagonal" in out
+
+
+def _canned_stdout(study_s, peak_rss_mb, failed=0):
+    # what perfbench/run.py prints: check lines first, the result line last
+    result = {"correct": failed == 0, "attempted": 30, "failed": failed,
+              "metrics": {"study_s": {"value": study_s, "unit": "s"},
+                          "peak_rss_mb": {"value": peak_rss_mb, "unit": "MiB"}}}
+    return "perfbench note\n" + json.dumps(result) + "\n"
+
+
+def test_bench_summary_on_canned_runs():
+    bench = _load("bench")
+    canned = [("parent", 1, 0.20, 60.0), ("change", 1, 0.10, 50.0),
+              ("change", 2, 0.12, 50.0), ("parent", 2, 0.18, 62.0),
+              ("parent", 3, 0.22, 61.0), ("change", 3, 0.25, 49.0),
+              ("parent", 4, 0.19, 60.0), ("change", 4, 0.11, 60.0)]
+    runs = [{"workload": "w", "seed": seed, "side": side,
+             **bench.parse_run(_canned_stdout(study, rss, failed=int(seed == 4)))}
+            for side, seed, study, rss in canned]
+    assert runs[0]["metrics"] == {"study_s": 0.20, "peak_rss_mb": 60.0}
+    summary = bench.summarize(runs, ["study_s", "peak_rss_mb", "setup_s"])["w"]
+    parent, change = summary["sides"]["parent"]["study_s"], summary["sides"]["change"]["study_s"]
+    # inclusive quartiles of 0.18, 0.19, 0.20, 0.22 and of 0.10, 0.11, 0.12, 0.25
+    assert parent["median"] == pytest.approx(0.195) and parent["runs"] == 4
+    assert (parent["q1"], parent["q3"]) == pytest.approx((0.1875, 0.205))
+    assert (change["median"], change["q1"], change["q3"]) == pytest.approx((0.115, 0.1075, 0.1525))
+    assert summary["pairs"]["study_s"] == {"pairs": 4, "change_won": 3, "ties": 0}
+    assert summary["pairs"]["peak_rss_mb"] == {"pairs": 4, "change_won": 3, "ties": 1}
+    assert "setup_s" not in summary["pairs"] and "setup_s" not in summary["sides"]["change"]
+    assert summary["failed_ops"] == {"parent": 1, "change": 1}
+
+
+def test_bench_timed_out_run_is_a_failed_operation(monkeypatch):
+    bench = _load("bench")
+
+    def hang(cmd, **kwargs):
+        raise bench.subprocess.TimeoutExpired(cmd, kwargs["timeout"])
+
+    monkeypatch.setattr(bench.subprocess, "run", hang)
+    run = bench._run(SCRIPTS.parent, "w", 1, 10)
+    assert run == {"correct": False, "attempted": 0, "failed": 1, "metrics": {}}
+    runs = [{"workload": "w", "seed": 1, "side": "change", **run}]
+    assert bench.summarize(runs, ["study_s"])["w"]["failed_ops"] == {"change": 1}

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,13 +150,17 @@ def _reference_refined(model, modes, center, f0, h, coeffs, use_abs):
     return best
 
 
+def _level_grids(levels):
+    return [levels.nodes(li, np.arange(size)) for li, size in enumerate(levels.sizes)]
+
+
 def _brute_force_sups(levels, A, use_abs):
     # every level scanned by mode_matrix @ coefficients, then refined per wave
     model, modes = levels.model, levels.band.modes
     sups = []
     for si in range(A.shape[1]):
         best = -np.inf
-        for C, h in zip(levels.coords, levels.spacings):
+        for C, h in zip(_level_grids(levels), levels.spacings):
             v = bs.mode_matrix(model, modes, C) @ A[:, si]
             if use_abs:
                 v = np.abs(v)
@@ -174,7 +179,7 @@ def _scan_matches_mode_matrix_scan(model, lam, density, use_abs):
     got, peaks = levels.batch_sups(A, use_abs=use_abs)
     want = _brute_force_sups(levels, A, use_abs)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
-    assert peaks.shape == (len(levels.coords), A.shape[1])
+    assert peaks.shape == (len(levels.sizes), A.shape[1])
     assert np.all(got >= peaks.max(axis=0))
 
 
@@ -197,13 +202,47 @@ def test_sphere_ring_scan_matches_mode_matrix_scan(lam, density, use_abs):
 def test_sphere_ring_grid_is_equiangular():
     band = sp.enumerate_band(SPHERE, 20.0)
     levels = wv._SupLevels(band, 8.0)
-    for (rings,), C, h in zip(levels.shapes, levels.coords, levels.spacings):
+    for (rings,), C, h in zip(levels.shapes, _level_grids(levels), levels.spacings):
         assert rings == math.ceil(math.pi / h)
         assert max(l for l, _ in (m.label for m in band.modes)) < rings
         theta = np.arccos(C[::2 * rings, 2])
         np.testing.assert_allclose(theta, (np.arange(rings) + 0.5) * math.pi / rings,
                                    rtol=0, atol=1e-12)
         assert len(C) == 2 * rings * rings
+
+
+@pytest.mark.parametrize("model,lam", [
+    (SPHERE, 20.0), (mf.flat_torus((2.0 * math.pi,)), 30.0),
+    (mf.flat_torus((2.0 * math.pi, 3.7)), 12.0), (mf.flat_torus((2.0, 2.5, 3.0)), 3.0),
+])
+def test_level_nodes_match_grids(model, lam):
+    levels = wv._SupLevels(sp.enumerate_band(model, lam), 16.0)
+    for li, (shape, size) in enumerate(zip(levels.shapes, levels.sizes)):
+        if model.kind == mf.SPHERE2:
+            rings, = shape
+            theta = (np.arange(rings) + 0.5) * (math.pi / rings)
+            T, F = np.meshgrid(theta, np.arange(2 * rings) * (math.pi / rings),
+                               indexing="ij")
+            grid = np.stack([np.sin(T) * np.cos(F), np.sin(T) * np.sin(F), np.cos(T)],
+                            axis=-1).reshape(-1, 3)
+        else:
+            grid = mf.product_grid(model, shape)
+        assert np.array_equal(levels.nodes(li, np.arange(size)), grid)
+        # a wave peak's node alone is the same row
+        assert np.array_equal(levels.nodes(li, np.array([size - 1, 0])), grid[[-1, 0]])
+
+
+def test_torus_levels_keep_no_grids():
+    band = sp.enumerate_band(TORUS, 40.0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        levels = wv._SupLevels(band, 10.0)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert levels.grid_points > 400_000
+    assert kept < 1 << 20
 
 
 def test_torus_sup_norm_monotone_in_density():
@@ -218,7 +257,7 @@ def _wave_blocks_do_not_change_sups(model, lam, monkeypatch):
     band = sp.enumerate_band(model, lam)
     A = np.stack([wv.sample_wave(band, 4, i).coefficients for i in range(7)], axis=1)
     levels = wv._SupLevels(band, 8.0)
-    largest = max(len(C) for C in levels.coords)
+    largest = max(levels.sizes)
     monkeypatch.setattr(wv, "_CHUNK", 7 * largest)
     single, _ = levels.batch_sups(A)
     # two waves per block on the finest level, more on the coarser ones
