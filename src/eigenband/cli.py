@@ -3,8 +3,9 @@
 Each subcommand reruns one numerical study end to end and drops a CSV
 table plus a JSON summary into the output directory. Given the same
 config and seed the CSV bytes are identical run to run; wall-clock time
-lives only in the JSON. The workers setting is accepted for compatibility
-and has no effect.
+lives only in the JSON. Every config value must have its field's type
+(a string, a number, an integer, or a list of numbers); anything else,
+like an unknown key, is a config error.
 
 Exit codes: 0 ok, 2 bad config or usage, 3 verify found a failing
 criterion, 4 could not write output.
@@ -58,7 +59,6 @@ class ExperimentConfig:
     eps_count: int = 12
     a_values: tuple = (0.01, 0.05, 0.1, 0.2, 0.5)
     out: str = "runs"
-    workers: int = 0
 
 
 @dataclass
@@ -75,6 +75,28 @@ class ConfigError(ValueError):
     pass
 
 
+def _is_number(v) -> bool:
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
+def _typed(field: dataclasses.Field, value):
+    """value as the type of the field's default, else ConfigError."""
+    default = field.default
+    if isinstance(default, str) and isinstance(value, str):
+        return value
+    if (isinstance(default, tuple) and isinstance(value, (list, tuple))
+            and all(map(_is_number, value))):
+        return tuple(float(v) for v in value)
+    if isinstance(default, float) and _is_number(value):
+        return float(value)
+    if isinstance(default, int) and _is_number(value) and value == int(value):
+        return int(value)
+    want = {str: "a string", tuple: "a list of finite numbers",
+            float: "a finite number", int: "an integer"}[type(default)]
+    raise ConfigError(f"{field.name} must be {want}, got {value!r}")
+
+
 def _load_config(path, overrides: dict) -> ExperimentConfig:
     raw = {}
     if path is not None:
@@ -87,15 +109,13 @@ def _load_config(path, overrides: dict) -> ExperimentConfig:
             raise ConfigError(f"config {path} is not valid JSON: {exc}")
         if not isinstance(raw, dict):
             raise ConfigError("config file must hold one JSON object")
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    unknown = set(raw) - known
+    fields = dataclasses.fields(ExperimentConfig)
+    unknown = set(raw) - {f.name for f in fields}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     raw.update({k: v for k, v in overrides.items() if v is not None})
-    cfg = ExperimentConfig(**{k: v for k, v in raw.items() if k in known})
-    cfg.side_lengths = tuple(float(s) for s in cfg.side_lengths)
-    cfg.lams = tuple(float(l) for l in cfg.lams)
-    cfg.a_values = tuple(float(a) for a in cfg.a_values)
+    cfg = ExperimentConfig(**{f.name: _typed(f, raw[f.name])
+                              for f in fields if f.name in raw})
     if cfg.kind not in ("sphere2", "torus"):
         raise ConfigError(f"unknown manifold kind {cfg.kind!r}")
     if cfg.lam <= 0 or any(l <= 0 for l in cfg.lams):
@@ -105,8 +125,6 @@ def _load_config(path, overrides: dict) -> ExperimentConfig:
             raise ConfigError(f"{name} must be >= 1")
     if cfg.grid_density < 1:
         raise ConfigError("grid_density must be >= 1")
-    if cfg.workers < 0:
-        raise ConfigError("workers must be >= 0 (0 = auto)")
     return cfg
 
 
@@ -267,11 +285,13 @@ def _run_dudley(cfg: ExperimentConfig):
     bound = wv.sup_norm_bound(model, lam)
     rows = [(e, n) for e, n in curve.entries]
     header = ("epsilon", "net_size")
-    joint_se = 3.0 * math.hypot(2.0 * signed.std_error, absolute.std_error)
+    abs_limit = 2.0 * signed.mean + 3.0 * math.hypot(2.0 * signed.std_error,
+                                                     absolute.std_error)
     summary = {"dudley_bound": report.bound, "half_diameter": report.half_diameter,
                "tail_exponent": report.tail_exponent,
                "mean_sup_signed": signed.mean, "se_signed": signed.std_error,
                "mean_sup_abs": absolute.mean, "se_abs": absolute.std_error,
+               "abs_limit": abs_limit,
                "sup_bound_general": bound.general,
                "level_peaks_signed": list(signed.level_peaks),
                "refine_gain_signed": signed.refine_gain,
@@ -279,8 +299,7 @@ def _run_dudley(cfg: ExperimentConfig):
                "refine_gain_abs": absolute.refine_gain}
     flags = {"sup_below_dudley": bool(signed.mean <= report.bound),
              "sup_below_closed_form": bool(signed.mean <= bound.general),
-             "abs_below_twice_signed": bool(
-                 absolute.mean <= 2.0 * signed.mean + joint_se)}
+             "abs_below_twice_signed": bool(absolute.mean <= abs_limit)}
     return header, rows, summary, flags
 
 
@@ -419,16 +438,25 @@ def emit_report(report: Report, header, rows) -> Report:
     return report
 
 
+def _numbers(text: str) -> list:
+    try:
+        return [float(s) for s in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
+
+
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="eigenband",
                                 description="band-embedding experiment driver")
     p.add_argument("subcommand", choices=SUBCOMMANDS)
     p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument("--kind", default=None, choices=("sphere2", "torus"))
-    p.add_argument("--side-lengths", default=None,
+    p.add_argument("--side-lengths", type=_numbers, default=None,
                    help="comma-separated torus side lengths")
     p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--lambdas", default=None, help="comma-separated lambda list")
+    p.add_argument("--lambdas", dest="lams", type=_numbers, default=None,
+                   metavar="LAMBDAS", help="comma-separated lambda list")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--pairs", type=int, default=None)
@@ -437,10 +465,9 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-max", type=float, default=None)
     p.add_argument("--eps-min", type=float, default=None)
     p.add_argument("--eps-count", type=int, default=None)
-    p.add_argument("--a-values", default=None, help="comma-separated a list")
+    p.add_argument("--a-values", type=_numbers, default=None,
+                   help="comma-separated a list")
     p.add_argument("--out", default=None)
-    p.add_argument("--workers", type=int, default=None,
-                   help="accepted for compatibility; has no effect")
     return p
 
 
@@ -450,30 +477,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors, 0 on --help
         return EXIT_CONFIG if exc.code else EXIT_OK
-    overrides = {
-        "kind": args.kind,
-        "lam": args.lam,
-        "seed": args.seed,
-        "samples": args.samples,
-        "pairs": args.pairs,
-        "grid_density": args.grid_density,
-        "substrate": args.substrate,
-        "eps_max": args.eps_max,
-        "eps_min": args.eps_min,
-        "eps_count": args.eps_count,
-        "out": args.out,
-        "workers": args.workers,
-    }
-    if args.side_lengths is not None:
-        overrides["side_lengths"] = [float(s) for s in args.side_lengths.split(",")]
-    if args.lambdas is not None:
-        overrides["lams"] = [float(s) for s in args.lambdas.split(",")]
-    if args.a_values is not None:
-        overrides["a_values"] = [float(s) for s in args.a_values.split(",")]
+    overrides = {f.name: getattr(args, f.name)
+                 for f in dataclasses.fields(ExperimentConfig)}
     try:
         cfg = _load_config(args.config, overrides)
         report, header, rows = run(args.subcommand, cfg)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:

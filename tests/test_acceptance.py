@@ -4,9 +4,11 @@ Each test prints a single pass/fail line with timing, then asserts the
 time budget and the criterion itself. Run with -s to see the lines.
 """
 
+import dataclasses
+
 import pytest
 
-from eigenband import acceptance
+from eigenband import acceptance, cli
 
 
 def _check(index):
@@ -64,3 +66,20 @@ def test_criterion_11_small_parameter_integral_identity():
 
 def test_criterion_12_wave_increments_match_distance():
     _check(12)
+
+
+@pytest.mark.parametrize("index, study", [(3, "profile"), (11, "claim")])
+def test_criterion_verdict_comes_from_cli_study(monkeypatch, index, study):
+    real_run = cli.run
+    calls = []
+
+    def failing_run(subcommand, cfg):
+        calls.append(subcommand)
+        report, header, rows = real_run(subcommand, cfg)
+        flags = {name: False for name in report.flags}
+        return dataclasses.replace(report, flags=flags), header, rows
+
+    assert acceptance.run_criterion(index).passed
+    monkeypatch.setattr(cli, "run", failing_run)
+    assert not acceptance.run_criterion(index).passed
+    assert calls == [study]

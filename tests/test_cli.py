@@ -35,8 +35,8 @@ def test_supnorm_workers_do_not_change_csv(tmp_path):
             "--grid-density", "4"]
     a = tmp_path / "a"
     b = tmp_path / "b"
-    assert _run(base + ["--workers", "1", "--out", str(a)]) == 0
-    assert _run(base + ["--workers", "4", "--out", str(b)]) == 0
+    assert _run(base + ["--out", str(a)]) == 0
+    assert _run(base + ["--out", str(b)]) == 0
     assert _newest(a, ".csv").read_bytes() == _newest(b, ".csv").read_bytes()
 
 
@@ -60,6 +60,35 @@ def test_exit_codes_config_errors(tmp_path):
     cfg.write_text("{not json")
     assert _run(["band", "--config", str(cfg), "--out", str(tmp_path)]) \
         == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("flags", [["--side-lengths", "a,b"],
+                                   ["--lambdas", "1,x"],
+                                   ["--a-values", "q"]])
+def test_malformed_list_flag_exits_config(tmp_path, capsys, flags):
+    assert _run(["band", "--out", str(tmp_path)] + flags) == cli.EXIT_CONFIG
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("values", [{"samples": "5"}, {"lams": 5}, {"lam": None},
+                                    {"samples": 2.5}, {"workers": 2}])
+def test_mistyped_config_value_exits_config(tmp_path, capsys, values):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    assert _run(["band", "--config", str(cfg), "--out", str(tmp_path)]) \
+        == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error:")
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_config_values_take_their_field_types(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lam": 5, "samples": 4.0, "lams": [3, 4]}))
+    assert _run(["band", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    config = json.loads(_newest(tmp_path, ".json", "band-").read_text())["config"]
+    assert config["lam"] == 5.0 and isinstance(config["lam"], float)
+    assert config["samples"] == 4 and isinstance(config["samples"], int)
+    assert config["lams"] == [3.0, 4.0]
 
 
 def test_exit_code_io_error():
