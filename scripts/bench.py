@@ -11,13 +11,18 @@ the "change" side (this checkout, as it stands on disk) and, with --parent
 REV, on the "parent" side (REV's committed files, extracted by `git archive`
 into a temporary directory that is deleted afterwards). A seed is one pair,
 and the side that runs first alternates from seed to seed. A run that exits
-non-zero or times out is recorded as one failed operation. The result is
-BENCH_<pr>.json at the repository root: the environment, every run's
-metrics and, per workload, each side's median and quartiles of every metric
-and the number of pairs in which the change read better.
+non-zero or times out is recorded as one failed operation. Each side then
+makes one `--trace 1` run per workload on the first seed, for the per-layer
+metrics, and one `eigenband verify` run, for the seconds of each acceptance
+criterion (read from its JSON report: verify exits 3 while a criterion
+fails). The result is BENCH_<pr>.json at the repository root: the
+environment, every run's metrics, each side's traced metrics and criterion
+seconds and, per workload, each side's median and quartiles of every
+end-to-end metric and the number of pairs in which the change read better.
 
-Left out: the `--trace 1` per-layer runs and the seconds of each acceptance
-criterion. Both remain for a later version of this harness.
+Left out: the traced and verify runs are single runs, not paired medians,
+so they show where time went rather than prove a gain; the tier-1 wall time
+is not measured.
 """
 
 from __future__ import annotations
@@ -107,9 +112,35 @@ def _extract(rev: str, dest: Path) -> None:
         raise SystemExit(f"bench: git archive {rev} failed")
 
 
-def _run(root: Path, workload: str, seed: int, seconds: float) -> dict:
+def _verify(root: Path) -> dict:
+    """One `eigenband verify` run on root's sources, with one BLAS thread as
+    in perfbench/run.py: the seconds and verdict of every criterion, read
+    from its JSON report whatever the exit code."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    with tempfile.TemporaryDirectory(prefix="bench-verify-") as out:
+        try:
+            proc = subprocess.run([sys.executable, "-m", "eigenband", "verify", "--out", out],
+                                  cwd=root, env=env, capture_output=True, text=True,
+                                  timeout=3600)
+        except subprocess.TimeoutExpired:
+            print("bench: verify timed out", file=sys.stderr)
+            return {"exit": None}
+        reports = sorted(Path(out).glob("verify-*.json"))
+        if not reports:
+            sys.stderr.write(proc.stderr)
+            return {"exit": proc.returncode}
+        report = json.loads(reports[0].read_text())
+    summary = report["summary"]
+    return {"exit": proc.returncode,
+            "seconds": {k: float(v) for k, v in summary["seconds"].items()},
+            "passed": summary["passed"], "total": summary["total"],
+            "flags": report["flags"], "wall_clock_s": report["wall_clock_s"]}
+
+
+def _run(root: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     failed = {"correct": False, "attempted": 0, "failed": 1, "metrics": {}}
     try:
         proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
@@ -158,14 +189,24 @@ def main(argv=None) -> int:
                                  "first": side == order[0], **run})
                     print(f"{workload} seed {seed} {side}: {run['metrics']} "
                           f"({time.perf_counter() - t0:.0f} s)", file=sys.stderr)
+        traced = {side: {} for side in roots}
+        criteria = {}
+        for side in roots:
+            for workload in (w["name"] for w in spec["workloads"]):
+                traced[side][workload] = _run(roots[side], workload, seeds[0], seconds, trace=1)
+                print(f"{workload} traced {side}: {traced[side][workload]['failed']} failed",
+                      file=sys.stderr)
+            criteria[side] = _verify(roots[side])
+            print(f"verify {side}: {criteria[side].get('seconds')}", file=sys.stderr)
 
     report = {"pr": args.pr, "environment": environment(),
               "settings": {"command": spec["command"], "seconds": seconds,
-                           "seeds": seeds, "trace": 0},
+                           "seeds": seeds, "trace": 0, "traced_seed": seeds[0]},
               "revisions": {"change": _git("rev-parse", "HEAD")
                             + (" + uncommitted changes" if _git("status", "--porcelain") else ""),
                             **({"parent": _git("rev-parse", args.parent)} if args.parent else {})},
-              "summary": summarize(runs, [m["name"] for m in spec["end_to_end"]]), "runs": runs}
+              "summary": summarize(runs, [m["name"] for m in spec["end_to_end"]]), "runs": runs,
+              "traced": traced, "criteria": criteria}
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)

@@ -3,6 +3,12 @@
 Real basis throughout: cos/sin pairs on the torus, real spherical harmonics
 on the sphere (no Condon-Shortley phase). Gradients are returned in the
 orthonormal tangent frame of manifold.tangent_frame.
+
+Sphere values climb the normalized Legendre recurrence for all orders of a
+degree at once, O(l) array steps per degree over blocks of points, with the
+arithmetic of specfun.assoc_legendre_upward for each order, so they equal
+that one-order route bit for bit. Sphere gradients still climb one order at
+a time through it.
 """
 
 from __future__ import annotations
@@ -32,13 +38,78 @@ _SQRT2 = math.sqrt(2.0)
 # normalized associated Legendre rows, vectorized over points
 
 
-def _degree_value_rows(l: int, t: np.ndarray, s: np.ndarray):
-    """(m, row of the fully normalized Pbar_l^m) for m = 0..l, one order at a time."""
-    diag = np.full(t.size, INV_SQRT_4PI)
-    for m in range(l + 1):
-        if m > 0:
-            diag = diag * math.sqrt((2 * m + 1) / (2.0 * m)) * s
-        yield m, assoc_legendre_upward(l, m, t, diag)[0]
+# The value climb takes the points in blocks, and its working set is about
+# five (orders x points) buffers: at most _CLIMB_ENTRIES entries each up to
+# degree 127, so a 12000-point degree-40 matrix allocates about 1 MiB beyond
+# its output. A block keeps at least _CLIMB_POINTS points, since numpy's
+# broadcast products pay a fixed cost per row: at degree 640, blocks of 25
+# points took 1.3 times as long as blocks of 128.
+_CLIMB_ENTRIES = 1 << 14
+_CLIMB_POINTS = 128
+
+
+def _climb_block(l: int) -> int:
+    """Points per block of the degree-l value climb."""
+    return max(_CLIMB_POINTS, _CLIMB_ENTRIES // (l + 1))
+
+
+def _climb_coefficients(l: int):
+    """The factors of specfun.assoc_legendre_upward and of its diagonal seed,
+    for all orders of degree l at once.
+
+    Returns the diagonal factors sqrt((2m+1)/(2m)) for m = 1..l, the first
+    step's sqrt(2m+3) for m = 0..l-1, and for each step k = 2..l the columns
+    a_km, b_km over the orders m < k - 1. Every factor is the square root of
+    a ratio of exact integers, so each equals the per-order scalar bit for bit.
+    """
+    m = np.arange(1, l + 1)
+    diagonal = np.sqrt((2 * m + 1) / (2.0 * m))[:, None]
+    first = np.sqrt(2 * m + 1.0)[:, None]
+    k, m = np.tril_indices(max(l - 1, 0))
+    k = k + 2
+    a = np.sqrt((4.0 * k * k - 1.0) / (k * k - m * m))[:, None]
+    b = np.sqrt(((k - 1.0) ** 2 - m * m) / (4.0 * (k - 1.0) ** 2 - 1.0))[:, None]
+    lo = [(k - 2) * (k - 1) // 2 for k in range(2, l + 2)]
+    steps = [(a[i:j], b[i:j]) for i, j in zip(lo, lo[1:])]
+    return diagonal, first, steps
+
+
+def _degree_value_rows(l: int, t: np.ndarray, s: np.ndarray, coefficients) -> np.ndarray:
+    """Fully normalized Pbar_l^m(t) for m = 0..l, as the rows of one array.
+
+    All orders climb at once. The diagonals are one running product down
+    the chain 1/sqrt(4 pi), f_1, s, f_2, s, ..., so each is (diag f_m) s as in
+    the per-order seed. Step k writes buffer -k mod 3: it moves the orders
+    m < k - 1 to degree k by a_km (t p - b_km p_prev) from the two buffers
+    before it. Order m enters before any step reads it: its diagonal in
+    buffer -m mod 3 and its first step sqrt(2m+3) t diag in buffer
+    -(m+1) mod 3, rows that no earlier step writes. Each order so sees
+    specfun.assoc_legendre_upward's arithmetic in its operation order, and
+    the rows equal that route's bit for bit, in O(l) steps.
+    """
+    diagonal, first, steps = coefficients
+    chain = np.empty((2 * l + 1, t.size))
+    chain[0] = INV_SQRT_4PI
+    chain[1::2] = diagonal
+    chain[2::2] = s
+    diag = np.multiply.accumulate(chain, axis=0, out=chain)[::2]
+    bufs = np.empty((3, l + 1, t.size))
+    for r in range(3):
+        bufs[-r % 3, r::3] = diag[r::3]
+        start = bufs[(-r - 1) % 3, r:l:3]
+        np.multiply(first[r::3], t, out=start)
+        start *= diag[r:l:3]
+    del chain, diag
+    # t on every row: a same-shape product is faster than a broadcast one
+    tt = np.broadcast_to(t, bufs.shape[1:]).copy()
+    for k, (a, b) in enumerate(steps, start=2):
+        n = k - 1
+        p, p_prev, nxt = bufs[(1 - k) % 3, :n], bufs[(2 - k) % 3, :n], bufs[-k % 3, :n]
+        np.multiply(p, tt[:n], out=nxt)
+        p_prev *= b
+        nxt -= p_prev
+        nxt *= a
+    return bufs[-l % 3]
 
 
 def _degree_gradient_rows(l: int, t: np.ndarray, s: np.ndarray):
@@ -83,17 +154,24 @@ def _group_degrees(modes) -> dict[int, dict[int, list[tuple[int, int]]]]:
 
 
 def _sphere_value_matrix(modes, coords: np.ndarray) -> np.ndarray:
-    # one order's Legendre row and azimuthal factors alive at a time
+    # Legendre rows by blocks of points, then each column's azimuthal factor
     t, s, phi = _sphere_angles(coords)
     out = np.empty((len(coords), len(modes)))
     for l, orders in _group_degrees(modes).items():
-        for m, row in _degree_value_rows(l, t, s):
-            for j, signed in orders.get(m, ()):
-                if m == 0:
-                    out[:, j] = row
-                else:
-                    trig = np.cos if signed > 0 else np.sin
-                    out[:, j] = _SQRT2 * row * trig(m * phi)
+        J, M = np.array([(j, m) for m, group in orders.items() for j, _ in group]).T
+        scale = np.where(M == 0, 1.0, _SQRT2)[:, None]
+        coefficients = _climb_coefficients(l)
+        step = _climb_block(l)
+        for lo in range(0, len(t), step):
+            block = slice(lo, lo + step)
+            # one statement, so no block's arrays outlive it
+            out[block, J] = (_degree_value_rows(l, t[block], s[block], coefficients)[M]
+                             * scale).T
+        for m, group in orders.items():
+            if m > 0:
+                mphi = m * phi
+                for j, signed in group:
+                    out[:, j] *= (np.cos if signed > 0 else np.sin)(mphi)
     return out
 
 

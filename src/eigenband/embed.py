@@ -202,12 +202,22 @@ class CanonicalDistance:
 
         Builds the feature matrix Phi(C) once; each row then takes its
         kernel values from one matrix-vector product Phi(C) Phi(C[j]) in
-        place of the addition theorem.
+        place of the addition theorem. Every row is computed in one buffer,
+        as -2 exy + 2 diag, which rounds as _dist_from_kernels's
+        2 diag - 2 exy does, so a caller that keeps a row past the next call
+        must copy it.
         """
         F = bs.mode_matrix(self.embedding.model, self.embedding.band.modes, C)
+        buf = np.empty(len(C))
+        two_diag = self._diag + self._diag
 
         def row(j: int) -> np.ndarray:
-            return _dist_from_kernels(self._diag, self._diag, F @ F[j], self._k)
+            np.dot(F, F[j], out=buf)
+            np.multiply(buf, -2.0, out=buf)
+            np.add(buf, two_diag, out=buf)
+            np.maximum(buf, 0.0, out=buf)
+            np.sqrt(buf, out=buf)
+            return np.divide(buf, self._k, out=buf)
 
         return row
 

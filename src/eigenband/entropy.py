@@ -102,9 +102,10 @@ def _row_source(distance, C: np.ndarray):
 def _farthest_point_order(row, stop_radius: float):
     """Insertion order and radii until the next insertion would be <= stop_radius.
 
-    row(j) gives the distances from substrate point j to the whole substrate.
+    row(j) gives the distances from substrate point j to the whole substrate,
+    possibly in a buffer that the next call overwrites.
     """
-    dmin = row(0)
+    dmin = row(0).copy()
     order = [0]
     radii = [math.inf]
     while True:

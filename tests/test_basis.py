@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ except ImportError:  # older scipy
 
 from eigenband import basis as bs
 from eigenband import manifold as mf
+from eigenband import specfun as sf
 from eigenband import spectrum as sp
 
 SPHERE = mf.sphere2()
@@ -56,6 +58,96 @@ def test_value_addition_theorem():
         V = bs.mode_matrix(SPHERE, band.modes, coords)
         target = (2 * l + 1) / (4 * math.pi)
         assert np.allclose((V ** 2).sum(axis=1), target, rtol=1e-11)
+
+
+def _per_order_values(modes, coords):
+    """The sphere mode matrix one order at a time: the diagonal seed by its
+    running product, then specfun.assoc_legendre_upward, then the azimuthal
+    factor, in the operation order of the value route before the all-orders
+    climb."""
+    t, s, phi = bs._sphere_angles(coords)
+    out = np.empty((len(coords), len(modes)))
+    rows = {}
+    for j, mode in enumerate(modes):
+        l, m = mode.label
+        if (l, abs(m)) not in rows:
+            diag = np.full(len(coords), sf.INV_SQRT_4PI)
+            for i in range(1, abs(m) + 1):
+                diag = diag * math.sqrt((2 * i + 1) / (2.0 * i)) * s
+            rows[l, abs(m)] = sf.assoc_legendre_upward(l, abs(m), t, diag)[0]
+        row = rows[l, abs(m)]
+        if m == 0:
+            out[:, j] = row
+        else:
+            out[:, j] = math.sqrt(2.0) * row * (np.cos if m > 0 else np.sin)(abs(m) * phi)
+    return out
+
+
+def _mixed_points(count, rng):
+    """Both poles, then equiangular ring nodes (j + 1/2) pi / N at scattered
+    azimuths, then uniform random points: count rows."""
+    rings = max(1, count // 3)
+    theta = (np.arange(rings) + 0.5) * (math.pi / rings)
+    phi = rng.uniform(0.0, 2.0 * math.pi, rings)
+    ring = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                     np.cos(theta)], axis=1)
+    rand = rng.standard_normal((count, 3))
+    rand /= np.linalg.norm(rand, axis=1, keepdims=True)
+    return np.concatenate([[[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], ring, rand])[:count]
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0, 5.0, 9.0, 20.0, 40.0, 63.0, 80.0, 320.0, 640.0])
+def test_sphere_values_equal_per_order_route(lam):
+    # the all-orders climb repeats each order's arithmetic, so it is bit-identical;
+    # counts straddle the climb's point block, and the mode order is shuffled
+    rng = np.random.default_rng(int(lam * 10))
+    band = sp.enumerate_band(SPHERE, lam)
+    modes = [band.modes[i] for i in rng.permutation(band.m_lambda)]
+    block = bs._climb_block(max(m.label[0] for m in modes))
+    coords = _mixed_points(block + 1, rng)
+    ref = _per_order_values(modes, coords)
+    for count in sorted({1, block - 1, block, block + 1} - {0}):
+        assert np.array_equal(bs.mode_matrix(SPHERE, modes, coords[:count]), ref[:count])
+
+
+def test_sphere_values_equal_per_order_route_across_degrees():
+    # degrees 0..3 in one call, interleaved, with a repeated mode
+    labels = [(l, m) for l in range(4) for m in range(-l, l + 1)]
+    rng = np.random.default_rng(3)
+    modes = [sp.Mode(id=i, mu=0.0, label=labels[i]) for i in rng.permutation(len(labels))]
+    modes.append(modes[0])
+    coords = _mixed_points(50, rng)
+    assert np.array_equal(bs.mode_matrix(SPHERE, modes, coords), _per_order_values(modes, coords))
+
+
+@pytest.mark.parametrize("lam", [9.0, 40.0, 80.0])
+def test_sphere_values_match_normalized_legendre(lam):
+    # the independent one-order route, at azimuth 0 where a cos column is
+    # sqrt(2) Pbar_l^m; points built from t so both routes see the same sin
+    band = sp.enumerate_band(SPHERE, lam)
+    t = np.cos((np.arange(97) + 0.5) * (math.pi / 97))
+    coords = np.stack([np.sqrt(1.0 - t * t), np.zeros_like(t), t], axis=1)
+    V = bs.mode_matrix(SPHERE, band.modes, coords)
+    for j, mode in enumerate(band.modes):
+        l, m = mode.label
+        if m < 0:
+            continue
+        ref = sf.assoc_legendre_normalized(l, m, t) * (1.0 if m == 0 else math.sqrt(2.0))
+        assert np.max(np.abs(V[:, j] - ref)) <= 1e-12 * np.max(np.abs(ref)), mode.label
+
+
+def test_sphere_values_working_set():
+    # the climb takes its points in blocks: beyond the output, a 12000-point
+    # lambda 40 matrix needs well under 2 MiB (an unblocked climb needs about 19 MiB)
+    band = sp.enumerate_band(SPHERE, 40.0)
+    coords = np.stack([p.coords for p in mf.quasi_uniform_grid(SPHERE, 12000)])
+    tracemalloc.start()
+    try:
+        V = bs.mode_matrix(SPHERE, band.modes, coords)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - V.nbytes < 2 * 2 ** 20
 
 
 def test_torus_values_by_formula():

@@ -120,9 +120,13 @@ def test_canonical_distance_rows():
         for x, y, got in zip(X, Y, paired):
             assert got == pytest.approx(em.dist_lambda(emb, x, y), abs=1e-12)
         row = dist.substrate_rows(C)
+        F = bs.mode_matrix(model, emb.band.modes, C)
         for j in (0, 7):
             # compared squared: the square root magnifies rounding near zero
             assert np.allclose(row(j) ** 2, dist.rows(C[j], C) ** 2, rtol=0, atol=1e-12)
+            # the in-place row rounds as the kernel-to-distance map does
+            assert np.array_equal(row(j), em._dist_from_kernels(dist._diag, dist._diag,
+                                                                F @ F[j], dist._k))
 
 
 @pytest.mark.parametrize("model,lam", [(SPHERE, 9.0), (SPHERE, 60.0), (TORUS, 5.0)])

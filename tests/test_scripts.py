@@ -65,3 +65,51 @@ def test_bench_timed_out_run_is_a_failed_operation(monkeypatch):
     assert run == {"correct": False, "attempted": 0, "failed": 1, "metrics": {}}
     runs = [{"workload": "w", "seed": 1, "side": "change", **run}]
     assert bench.summarize(runs, ["study_s"])["w"]["failed_ops"] == {"change": 1}
+
+
+def test_bench_verify_reads_report_despite_failing_exit(monkeypatch):
+    # verify exits 3 while a criterion fails; the seconds come from its JSON
+    bench = _load("bench")
+    report = {"experiment": "verify", "wall_clock_s": 31.5,
+              "flags": {"criterion_7": False, "criterion_8": True},
+              "summary": {"passed": 1, "total": 2, "seconds": {"7": 0.02, "8": 3.25}}}
+    calls = []
+
+    def fake_verify(cmd, **kwargs):
+        calls.append((cmd, kwargs))
+        out = Path(cmd[cmd.index("--out") + 1])
+        (out / "verify-20260101-000000.json").write_text(json.dumps(report))
+        return bench.subprocess.CompletedProcess(cmd, 3, "FAIL  criterion_7\n", "")
+
+    monkeypatch.setattr(bench.subprocess, "run", fake_verify)
+    got = bench._verify(SCRIPTS.parent)
+    assert got == {"exit": 3, "seconds": {"7": 0.02, "8": 3.25}, "passed": 1, "total": 2,
+                   "flags": {"criterion_7": False, "criterion_8": True}, "wall_clock_s": 31.5}
+    (cmd, kwargs), = calls
+    assert cmd[1:4] == ["-m", "eigenband", "verify"]
+    assert kwargs["env"]["PYTHONPATH"] == str(SCRIPTS.parent / "src")
+    assert kwargs["env"]["OPENBLAS_NUM_THREADS"] == "1"
+
+
+def test_bench_verify_without_report_records_exit(monkeypatch):
+    bench = _load("bench")
+    monkeypatch.setattr(bench.subprocess, "run", lambda cmd, **kw:
+                        bench.subprocess.CompletedProcess(cmd, 1, "", "Traceback\n"))
+    assert bench._verify(SCRIPTS.parent) == {"exit": 1}
+
+
+def test_bench_traced_run_reads_per_layer_metrics(monkeypatch):
+    bench = _load("bench")
+    result = {"correct": True, "attempted": 12, "failed": 0,
+              "metrics": {"basis.grid_s": {"value": 0.05, "unit": "s"},
+                          "basis.stencil_s": {"value": 0.02, "unit": "s"}}}
+    seen = []
+
+    def fake_run(cmd, **kwargs):
+        seen.append(cmd)
+        return bench.subprocess.CompletedProcess(cmd, 0, json.dumps(result) + "\n", "")
+
+    monkeypatch.setattr(bench.subprocess, "run", fake_run)
+    run = bench._run(SCRIPTS.parent, "sup-sphere", 51, 10, trace=1)
+    assert run["metrics"] == {"basis.grid_s": 0.05, "basis.stencil_s": 0.02}
+    assert seen[0][seen[0].index("--trace") + 1] == "1"
