@@ -18,7 +18,8 @@ criterion (read from its JSON report: verify exits 3 while a criterion
 fails). The result is BENCH_<pr>.json at the repository root: the
 environment, every run's metrics, each side's traced metrics and criterion
 seconds and, per workload, each side's median and quartiles of every
-end-to-end metric and the number of pairs in which the change read better.
+end-to-end metric, the number of pairs in which the change read better, and
+a verdict on the change's median against the metric's bound.
 
 Left out: the traced and verify runs are single runs, not paired medians,
 so they show where time went rather than prove a gain; the tier-1 wall time
@@ -57,25 +58,48 @@ def _quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": len(values)}
 
 
-def summarize(runs: list[dict], metrics: list[str]) -> dict:
-    """Per workload: each side's median and quartiles of every metric, the
-    failed operations, and for each metric how many seeds' pairs the change
-    won (read lower) and tied."""
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> dict:
+    """The relative change of the medians, and its verdict against bound:
+    "unresolved" when the parent's quartile spread over its median exceeds
+    bound and the two sides' runs overlap, else "worse" when the change's
+    median is worse by more than bound, else "better" or "within bound"."""
+    p = _quartiles(parent)
+    rel = (statistics.median(change) - p["median"]) / p["median"]
+    worse_by = rel if better == "lower" else -rel
+    spread = (p["q3"] - p["q1"]) / p["median"]
+    overlap = min(change) <= max(parent) and min(parent) <= max(change)
+    if spread > bound and overlap:
+        word = "unresolved"
+    elif worse_by > bound:
+        word = "worse"
+    else:
+        word = "better" if worse_by < 0 else "within bound"
+    return {"relative_change": rel, "bound": bound, "verdict": word}
+
+
+def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
+    """Per workload: each side's median and quartiles of every metric of
+    end_to_end (BENCHMARK.json's entries), the failed operations, for each
+    metric how many seeds' pairs the change won (read lower) and tied, and
+    the verdict on the change's median against the metric's bound."""
     out: dict = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         mine = [r for r in runs if r["workload"] == workload]
         by_seed = {side: {r["seed"]: r["metrics"] for r in mine if r["side"] == side}
                    for side in SIDES}
-        entry: dict = {"failed_ops": {}, "sides": {}, "pairs": {}}
+        values = {side: {spec["name"]: [r["metrics"][spec["name"]] for r in mine
+                                        if r["side"] == side and spec["name"] in r["metrics"]]
+                         for spec in end_to_end}
+                  for side in SIDES}
+        entry: dict = {"failed_ops": {}, "sides": {}, "pairs": {}, "verdicts": {}}
         for side in SIDES:
             rows = [r for r in mine if r["side"] == side]
             if not rows:
                 continue
             entry["failed_ops"][side] = sum(r["failed"] for r in rows)
-            entry["sides"][side] = {m: _quartiles([r["metrics"][m] for r in rows
-                                                   if m in r["metrics"]])
-                                    for m in metrics if any(m in r["metrics"] for r in rows)}
-        for m in metrics:
+            entry["sides"][side] = {m: _quartiles(v) for m, v in values[side].items() if v}
+        for spec in end_to_end:
+            m = spec["name"]
             diffs = [by_seed["parent"][s][m] - by_seed["change"][s][m]
                      for s in by_seed["change"]
                      if m in by_seed["change"][s] and m in by_seed["parent"].get(s, {})]
@@ -83,6 +107,9 @@ def summarize(runs: list[dict], metrics: list[str]) -> dict:
                 entry["pairs"][m] = {"pairs": len(diffs),
                                      "change_won": sum(d > 0 for d in diffs),
                                      "ties": sum(d == 0 for d in diffs)}
+            if values["parent"][m] and values["change"][m]:
+                entry["verdicts"][m] = verdict(values["parent"][m], values["change"][m],
+                                               spec["better"], spec["bound"])
         out[workload] = entry
     return out
 
@@ -205,7 +232,7 @@ def main(argv=None) -> int:
               "revisions": {"change": _git("rev-parse", "HEAD")
                             + (" + uncommitted changes" if _git("status", "--porcelain") else ""),
                             **({"parent": _git("rev-parse", args.parent)} if args.parent else {})},
-              "summary": summarize(runs, [m["name"] for m in spec["end_to_end"]]), "runs": runs,
+              "summary": summarize(runs, spec["end_to_end"]), "runs": runs,
               "traced": traced, "criteria": criteria}
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")

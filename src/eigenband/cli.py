@@ -186,14 +186,13 @@ def _run_lipschitz(cfg: ExperimentConfig):
         emb = em.make_embedding(model, lam)
         scan = em.lipschitz_scan(emb, cfg.pairs, _rng(cfg, 10 + 2 * li))
         rng = _rng(cfg, 11 + 2 * li)
-        fresh = 0.0
-        for _ in range(cfg.pairs):
-            x = mf.uniform_sample(model, rng)
-            y = mf.uniform_sample(model, rng)
-            dg = mf.geodesic_distance(model, x, y)
-            if dg < 1e-12:
-                continue
-            fresh = max(fresh, em.dist_lambda(emb, x, y) / (lam * dg))
+        # each pair's x, then its y
+        P = np.stack([mf.uniform_sample(model, rng).coords for _ in range(2 * cfg.pairs)])
+        X, Y = P[0::2], P[1::2]
+        dg = mf.geodesic_rows(model, X, Y)
+        keep = dg >= 1e-12
+        dl = em.CanonicalDistance(emb).rows(X[keep], Y[keep])
+        fresh = float(np.max(dl / (lam * dg[keep]), initial=0.0))
         rows.append((cfg.kind, lam, scan, fresh))
         flags[f"fresh_below_scan_lam{lam:g}"] = bool(fresh <= scan)
     header = ("model", "lam", "scan_max_ratio", "fresh_max_ratio")

@@ -15,11 +15,13 @@ grid of c points per axis, and basis.torus_grid_values (shared with the
 torus diameter scan) gives it as one real inverse FFT of the Hermitian
 half lattice holding the coefficients at +-k mod c, exact for any c. On the
 sphere a level is N equiangular rings theta_j = (j + 1/2) pi / N with 2N
-azimuths pi k / N each; along a ring a wave is a trigonometric polynomial in
-phi of order at most l < N, so one row-wise irfft of its azimuthal spectrum,
-built from a table of the normalized Legendre values on the rings, gives the
-level exactly. No level keeps its grid: a wave's peak node is computed from
-its argmax index.
+azimuths pi k / N each. A sphere band holds one degree l, and along a ring a
+wave is a trigonometric polynomial in phi of order at most l < N: order m's
+column of the level's real (rings x (l + 1)) table of normalized Legendre
+values, times the cos coefficient and times minus the sin coefficient, gives
+the real and imaginary parts of its azimuthal spectrum at m, and one
+row-wise irfft gives the level exactly. No level keeps its grid: a wave's
+peak node is computed from its argmax index.
 """
 
 from __future__ import annotations
@@ -129,9 +131,9 @@ class _SupLevels:
     """Grid shapes for one band and the scan of each level.
 
     Torus levels place the coefficients on the frequency lattice; sphere
-    levels hold each ring's normalized Legendre values, as a table whose
-    column j, times coefficient j, is that mode's share of the azimuthal
-    spectrum. Either way a level's values are one inverse FFT per block.
+    levels hold one real (rings x (l + 1)) table of the band's single degree
+    l, as the module docstring says. Either way a level's values are one
+    inverse FFT per block.
     """
 
     def __init__(self, band: Band, density: float):
@@ -139,24 +141,19 @@ class _SupLevels:
         self.model = band.model
         lam_bar = mean_frequency(band)
         self.spacings = [(2.0 * math.pi / lam_bar) / d for d in _ladder(density)]
-        labels = [mode.label for mode in band.modes]
         if self.model.kind == SPHERE2:
+            # a band (lam, lam + 1] holds one degree l, with orders m = -l..l in turn
+            self._degree = l = band.modes[0].label[0]
             # N = ceil(lam_bar d / 2) >= 2 lam_bar > l: no order reaches the Nyquist bin N
             self.shapes = [(math.ceil(math.pi / s),) for s in self.spacings]
-            orders = np.array([abs(m) for _, m in labels])
-            self._sort = np.argsort(orders, kind="stable")
-            self._orders, self._starts = np.unique(orders[self._sort], return_index=True)
-            cos_of = [labels.index((l, abs(m))) for l, m in labels]
-            # a_m cos + a_-m sin = Re((a_m - i a_-m) e^{i m phi}); irfft halves
-            # the m > 0 bins and divides by 2 rings
-            weight = (np.where(orders == 0, 2.0, 1.0)
-                      * np.array([1.0 if m >= 0 else -1j for _, m in labels]))[self._sort]
             self.sizes = [2 * n * n for n, in self.shapes]
-            # at azimuth 0 (each ring's first point) a cos column of mode_matrix is
-            # sqrt(2) Pbar_l^m(theta) and a sin column is 0: the cos column serves both
-            self._tables = [bs.mode_matrix(self.model, band.modes,
-                                           _ring_nodes(n, 2 * n * np.arange(n)))
-                            [:, cos_of][:, self._sort] * (n * weight) for n, in self.shapes]
+            # at azimuth 0 (each ring's first point) the cos mode of order m is
+            # sqrt(2) Pbar_l^m(theta), or Pbar_l^0 for m = 0; irfft halves the
+            # m > 0 bins and divides by 2 rings
+            weight = np.where(np.arange(l + 1) == 0, 2.0, 1.0)
+            self._tables = [bs.mode_matrix(self.model, band.modes[l:],
+                                           _ring_nodes(n, 2 * n * np.arange(n))) * (n * weight)
+                            for n, in self.shapes]
         else:
             self.shapes = [tuple(max(1, math.ceil(L / s)) for L in self.model.side_lengths)
                            for s in self.spacings]
@@ -174,10 +171,12 @@ class _SupLevels:
         """Values of the coefficient columns Ab on level li: (waves, grid points)."""
         shape = self.shapes[li]
         if self.model.kind == SPHERE2:
-            rings = shape[0]
-            terms = self._tables[li][None, :, :] * Ab[self._sort].T[:, None, :]
+            rings, l, table = shape[0], self._degree, self._tables[li]
+            # a_m cos + a_-m sin = Re((a_m - i a_-m) e^{i m phi})
             spec = np.zeros((Ab.shape[1], rings, rings + 1), dtype=complex)
-            spec[:, :, self._orders] = np.add.reduceat(terms, self._starts, axis=2)
+            np.multiply(table, Ab[l:].T[:, None, :], out=spec.real[..., :l + 1])
+            np.multiply(table[:, 1:], -Ab[l - 1::-1].T[:, None, :],
+                        out=spec.imag[..., 1:l + 1])
             return np.fft.irfft(spec, n=2 * rings, axis=2).reshape(-1, self.sizes[li])
         return bs.torus_grid_values(self.model, self.band.modes, Ab, shape)
 

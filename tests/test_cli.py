@@ -7,6 +7,8 @@ import pytest
 
 from eigenband import acceptance
 from eigenband import cli
+from eigenband import embed as em
+from eigenband import manifold as mf
 
 
 def _run(argv):
@@ -38,6 +40,22 @@ def test_supnorm_workers_do_not_change_csv(tmp_path):
     assert _run(base + ["--out", str(a)]) == 0
     assert _run(base + ["--out", str(b)]) == 0
     assert _newest(a, ".csv").read_bytes() == _newest(b, ".csv").read_bytes()
+
+
+@pytest.mark.parametrize("kind,lams", [("sphere2", (9.0, 20.0)), ("torus", (7.0,))])
+def test_lipschitz_fresh_ratio_matches_pairwise_loop(kind, lams):
+    cfg = cli.ExperimentConfig(kind=kind, lams=lams, pairs=300, seed=5)
+    _, _, rows = cli.run("lipschitz", cfg)
+    model = cli._model(cfg)
+    for li, (lam, row) in enumerate(zip(lams, rows)):
+        # the pair-by-pair route: dist_lambda from three kernel values per pair
+        emb, rng, fresh = em.make_embedding(model, lam), cli._rng(cfg, 11 + 2 * li), 0.0
+        for _ in range(cfg.pairs):
+            x, y = mf.uniform_sample(model, rng), mf.uniform_sample(model, rng)
+            dg = mf.geodesic_distance(model, x, y)
+            if dg >= 1e-12:
+                fresh = max(fresh, em.dist_lambda(emb, x, y) / (lam * dg))
+        assert row[3] == pytest.approx(fresh, rel=1e-12, abs=0.0)
 
 
 def test_config_file_and_flag_precedence(tmp_path):

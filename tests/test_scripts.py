@@ -24,6 +24,12 @@ def test_diameter_study_runs(capsys):
     assert "kernel min / diagonal" in out
 
 
+# end-to-end metrics as BENCHMARK.json declares them
+END_TO_END = [{"name": "study_s", "better": "lower", "bound": 0.25},
+              {"name": "peak_rss_mb", "better": "lower", "bound": 0.05},
+              {"name": "setup_s", "better": "lower", "bound": 0.25}]
+
+
 def _canned_stdout(study_s, peak_rss_mb, failed=0):
     # what perfbench/run.py prints: check lines first, the result line last
     result = {"correct": failed == 0, "attempted": 30, "failed": failed,
@@ -42,7 +48,7 @@ def test_bench_summary_on_canned_runs():
              **bench.parse_run(_canned_stdout(study, rss, failed=int(seed == 4)))}
             for side, seed, study, rss in canned]
     assert runs[0]["metrics"] == {"study_s": 0.20, "peak_rss_mb": 60.0}
-    summary = bench.summarize(runs, ["study_s", "peak_rss_mb", "setup_s"])["w"]
+    summary = bench.summarize(runs, END_TO_END)["w"]
     parent, change = summary["sides"]["parent"]["study_s"], summary["sides"]["change"]["study_s"]
     # inclusive quartiles of 0.18, 0.19, 0.20, 0.22 and of 0.10, 0.11, 0.12, 0.25
     assert parent["median"] == pytest.approx(0.195) and parent["runs"] == 4
@@ -52,6 +58,32 @@ def test_bench_summary_on_canned_runs():
     assert summary["pairs"]["peak_rss_mb"] == {"pairs": 4, "change_won": 3, "ties": 1}
     assert "setup_s" not in summary["pairs"] and "setup_s" not in summary["sides"]["change"]
     assert summary["failed_ops"] == {"parent": 1, "change": 1}
+    # parent spreads 9% and 2% of their medians, inside the bounds
+    assert summary["verdicts"]["study_s"] == {
+        "relative_change": pytest.approx(0.115 / 0.195 - 1.0), "bound": 0.25,
+        "verdict": "better"}
+    assert summary["verdicts"]["peak_rss_mb"]["verdict"] == "better"
+    assert "setup_s" not in summary["verdicts"]
+    cases = [
+        ([60.0, 60.5, 61.0, 60.2], [61.5, 62.0, 61.8, 62.3], "within bound"),
+        ([60.0, 60.5, 61.0, 60.2], [64.0, 63.5, 64.2, 63.9], "worse"),
+        # a parent spread of 10% of the median, wider than the bound
+        ([57.0, 60.0, 63.0, 66.0], [62.0, 64.0, 66.0, 68.0], "unresolved"),
+        # as wide, but every change run reads better than every parent run
+        ([57.0, 60.0, 63.0, 66.0], [50.0, 51.0, 52.0, 53.0], "better"),
+        ([57.0, 60.0, 63.0, 66.0], [70.0, 72.0, 74.0, 76.0], "worse"),
+    ]
+    for parent_rss, change_rss, want in cases:
+        runs = [{"workload": "w", "seed": seed, "side": side,
+                 **bench.parse_run(_canned_stdout(0.2, rss))}
+                for side, values in (("parent", parent_rss), ("change", change_rss))
+                for seed, rss in enumerate(values)]
+        got = bench.summarize(runs, END_TO_END)["w"]["verdicts"]
+        assert got["peak_rss_mb"]["verdict"] == want, (parent_rss, change_rss)
+        assert got["study_s"]["verdict"] == "within bound"
+    # a metric that should rise: the same medians read the other way
+    higher = [{"name": "peak_rss_mb", "better": "higher", "bound": 0.05}]
+    assert bench.summarize(runs, higher)["w"]["verdicts"]["peak_rss_mb"]["verdict"] == "better"
 
 
 def test_bench_timed_out_run_is_a_failed_operation(monkeypatch):
@@ -64,7 +96,7 @@ def test_bench_timed_out_run_is_a_failed_operation(monkeypatch):
     run = bench._run(SCRIPTS.parent, "w", 1, 10)
     assert run == {"correct": False, "attempted": 0, "failed": 1, "metrics": {}}
     runs = [{"workload": "w", "seed": 1, "side": "change", **run}]
-    assert bench.summarize(runs, ["study_s"])["w"]["failed_ops"] == {"change": 1}
+    assert bench.summarize(runs, END_TO_END)["w"]["failed_ops"] == {"change": 1}
 
 
 def test_bench_verify_reads_report_despite_failing_exit(monkeypatch):

@@ -40,8 +40,18 @@ def test_sphere_band_single_degree():
     assert degrees == {9}
     assert band.m_lambda == 19
     assert all(m.mu == pytest.approx(math.sqrt(90.0)) for m in band.modes)
-    orders = sorted(m.label[1] for m in band.modes)
+    # in turn from -l to l, as the sphere sup-norm tables take them
+    orders = [m.label[1] for m in band.modes]
     assert orders == list(range(-9, 10))
+
+
+def test_sphere_bands_hold_at_most_one_degree():
+    # consecutive sqrt(l(l+1)) are more than 1 apart, so (lam, lam+1] holds
+    # at most one degree: on a 0.1 grid and exactly at the band edges
+    edges = [math.sqrt(l * (l + 1.0)) for l in range(3001)]
+    grid = [0.1 * i for i in range(30001)]
+    for lam in grid + edges + [mu - 1.0 for mu in edges if mu >= 1.0]:
+        assert len(sp.band_terms(SPHERE, lam, lam + 1.0)) <= 1, lam
 
 
 def test_sphere_band_mu_window():

@@ -245,6 +245,61 @@ def test_torus_levels_keep_no_grids():
     assert kept < 1 << 20
 
 
+def test_sphere_levels_keep_real_tables():
+    # one real (rings x (l + 1)) table per level; complex tables of every
+    # mode would keep about four times as much
+    band = sp.enumerate_band(SPHERE, 80.0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        levels = wv._SupLevels(band, 10.0)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    l = band.modes[0].label[0]
+    assert kept < sum(n * (l + 1) * 8 for n, in levels.shapes) + (64 << 10)
+
+
+def _complex_table_values(levels):
+    """Level values by complex per-mode tables: each mode's column at azimuth
+    0 times its weight, 2 or 1 for cos and -i for sin, sorted stably by |m|
+    and summed into the azimuthal spectrum by np.add.reduceat."""
+    labels = [mode.label for mode in levels.band.modes]
+    orders = np.array([abs(m) for _, m in labels])
+    order_sort = np.argsort(orders, kind="stable")
+    present, starts = np.unique(orders[order_sort], return_index=True)
+    cos_of = [labels.index((l, abs(m))) for l, m in labels]
+    weight = (np.where(orders == 0, 2.0, 1.0)
+              * np.array([1.0 if m >= 0 else -1j for _, m in labels]))[order_sort]
+    tables = [bs.mode_matrix(levels.model, levels.band.modes,
+                             wv._ring_nodes(n, 2 * n * np.arange(n)))
+              [:, cos_of][:, order_sort] * (n * weight) for n, in levels.shapes]
+
+    def values(li, Ab):
+        rings, = levels.shapes[li]
+        terms = tables[li][None, :, :] * Ab[order_sort].T[:, None, :]
+        spec = np.zeros((Ab.shape[1], rings, rings + 1), dtype=complex)
+        spec[:, :, present] = np.add.reduceat(terms, starts, axis=2)
+        return np.fft.irfft(spec, n=2 * rings, axis=2).reshape(-1, levels.sizes[li])
+
+    return values
+
+
+@pytest.mark.parametrize("lam", [2.5, 12.0, 40.0, 80.0])
+@pytest.mark.parametrize("use_abs", [True, False])
+def test_sphere_ring_scan_equals_complex_table_route(lam, use_abs, monkeypatch):
+    band = sp.enumerate_band(SPHERE, lam)
+    A = np.stack([wv.sample_wave(band, 13, i).coefficients for i in range(7)], axis=1)
+    levels = wv._SupLevels(band, 10.0)
+    # two waves per block on the top level
+    monkeypatch.setattr(wv, "_CHUNK", 2 * max(levels.sizes))
+    sups, peaks = levels.batch_sups(A, use_abs)
+    monkeypatch.setattr(levels, "_level_values", _complex_table_values(levels))
+    want_sups, want_peaks = levels.batch_sups(A, use_abs)
+    assert np.array_equal(sups, want_sups)
+    assert np.array_equal(peaks, want_peaks)
+
+
 def test_torus_sup_norm_monotone_in_density():
     model = mf.flat_torus((2.0 * math.pi, 3.7))
     band = sp.enumerate_band(model, 15.0)
