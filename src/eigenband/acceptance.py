@@ -1,10 +1,10 @@
 """End-to-end verification suite.
 
 Each criterion is a study with a fixed seed, an explicit tolerance, and
-a runtime budget. Criteria 1, 3, 5 and 7-11 are CLI studies at a fixed
+a runtime budget. Criteria 1, 3-5 and 7-11 are CLI studies at a fixed
 config: they call ``cli.run`` and read their verdict and numbers from the
 report's rows, summary and flags, so each study has one implementation.
-Criteria 2, 4, 6 and 12 have no CLI study and compute here. run_all
+Criteria 2, 6 and 12 have no CLI study and compute here. run_all
 executes them in order; the CLI's verify subcommand and the test suite
 both call into this module so there is exactly one definition of "the
 package works".
@@ -67,8 +67,8 @@ def _crit_2():
         for lam in (9.0, 40.0):
             emb = em.make_embedding(model, lam)
             band = emb.band
-            X = np.stack([mf.uniform_sample(model, rng).coords for _ in range(1000)])
-            Y = np.stack([mf.uniform_sample(model, rng).coords for _ in range(1000)])
+            X = mf.uniform_sample_rows(model, rng, 1000)
+            Y = mf.uniform_sample_rows(model, rng, 1000)
             VX = bs.mode_matrix(model, band.modes, X)
             VY = bs.mode_matrix(model, band.modes, Y)
             coord = np.linalg.norm(VX - VY, axis=1) / band.k_lambda
@@ -90,25 +90,13 @@ def _crit_3():
 
 def _crit_4():
     """Distance-over-geodesic ratio scan is stable and bounds fresh pairs."""
-    sphere = mf.sphere2()
-    scans = {}
-    fresh_ok = True
-    detail = []
-    for i, lam in enumerate((30.0, 60.0)):
-        emb = em.make_embedding(sphere, lam)
-        scans[lam] = em.lipschitz_scan(emb, 4000, _rng(400 + i))
-        rng = _rng(410 + i)
-        X = np.stack([mf.uniform_sample(sphere, rng).coords for _ in range(10000)])
-        Y = np.stack([mf.uniform_sample(sphere, rng).coords for _ in range(10000)])
-        dl = em.CanonicalDistance(emb).rows(X, Y)
-        dg = mf.geodesic_rows(sphere, X, Y)
-        keep = dg > 1e-12
-        fresh = float(np.max(dl[keep] / (lam * dg[keep])))
-        fresh_ok = fresh_ok and fresh <= scans[lam]
-        detail.append(f"lam={lam:g}: scan {scans[lam]:.4f}, fresh {fresh:.4f}")
-    lo, hi = min(scans.values()), max(scans.values())
-    stable = hi / lo - 1.0 <= 0.25
-    return stable and fresh_ok, "; ".join(detail) + f"; spread {hi / lo - 1.0:.3f} (tol 0.25)"
+    report, rows = _study("lipschitz", lams=(30.0, 60.0), pairs=10000, seed=104)
+    scans = [r["scan_max_ratio"] for r in rows]
+    spread = max(scans) / min(scans) - 1.0
+    ok = all(report.flags.values()) and spread <= 0.25
+    return ok, ("; ".join(f"lam={r['lam']:g}: scan {r['scan_max_ratio']:.4f}, "
+                          f"fresh {r['fresh_max_ratio']:.4f}" for r in rows)
+                + f"; spread {spread:.3f} (tol 0.25)")
 
 
 def _crit_5():
@@ -206,8 +194,8 @@ def _crit_12():
     A = np.stack([wv.sample_wave(band, 112, i).coefficients
                   for i in range(n_waves)], axis=1)
     rng = _rng(112)
-    X = np.stack([mf.uniform_sample(torus, rng).coords for _ in range(20)])
-    Y = np.stack([mf.uniform_sample(torus, rng).coords for _ in range(20)])
+    X = mf.uniform_sample_rows(torus, rng, 20)
+    Y = mf.uniform_sample_rows(torus, rng, 20)
     VX = bs.mode_matrix(torus, band.modes, X) @ A
     VY = bs.mode_matrix(torus, band.modes, Y) @ A
     D = (VX - VY) ** 2
@@ -250,6 +238,5 @@ def run_criterion(index: int) -> CriterionResult:
     raise ValueError(f"no criterion {index}")
 
 
-def run_all(only=None) -> list[CriterionResult]:
-    wanted = set(only) if only is not None else {i for i, *_ in CRITERIA}
-    return [run_criterion(i) for i, *_ in CRITERIA if i in wanted]
+def run_all() -> list[CriterionResult]:
+    return [run_criterion(i) for i, *_ in CRITERIA]

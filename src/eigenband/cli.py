@@ -36,6 +36,8 @@ __all__ = ["ExperimentConfig", "Report", "run", "emit_report", "main"]
 
 SUBCOMMANDS = ("weyl", "band", "lipschitz", "profile", "isometry", "supnorm",
                "dudley", "diameter", "covering", "claim", "verify")
+# these read cfg.lam alone, so a lams list would be silently dropped
+_ONE_LAMBDA = ("profile", "isometry", "dudley", "covering")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -187,7 +189,7 @@ def _run_lipschitz(cfg: ExperimentConfig):
         scan = em.lipschitz_scan(emb, cfg.pairs, _rng(cfg, 10 + 2 * li))
         rng = _rng(cfg, 11 + 2 * li)
         # each pair's x, then its y
-        P = np.stack([mf.uniform_sample(model, rng).coords for _ in range(2 * cfg.pairs)])
+        P = mf.uniform_sample_rows(model, rng, 2 * cfg.pairs)
         X, Y = P[0::2], P[1::2]
         dg = mf.geodesic_rows(model, X, Y)
         keep = dg >= 1e-12
@@ -266,16 +268,20 @@ def _run_supnorm(cfg: ExperimentConfig):
     return header, rows, summary, flags
 
 
+def _band_curve(cfg: ExperimentConfig, model, substrate, eps_ratio: float):
+    """d_lambda covering curve of substrate at cfg.lam, at eps_count radii from
+    eps_max (default: half the diameter) to eps_min (default: eps_max / eps_ratio)."""
+    emb = em.make_embedding(model, cfg.lam)
+    eps_max = cfg.eps_max or em.diameter_estimate(emb, 4000) / 2.0
+    eps_min = cfg.eps_min or eps_max / eps_ratio
+    eps = list(np.geomspace(eps_max, eps_min, cfg.eps_count))
+    return en.covering_curve(substrate, em.CanonicalDistance(emb), eps)
+
+
 def _run_dudley(cfg: ExperimentConfig):
     model = _model(cfg)
     lam = cfg.lam
-    emb = em.make_embedding(model, lam)
-    dist = em.CanonicalDistance(emb)
-    substrate = mf.quasi_uniform_grid(model, cfg.substrate)
-    eps_max = cfg.eps_max or em.diameter_estimate(emb, 4000) / 2.0
-    eps_min = cfg.eps_min or eps_max / 24.0
-    eps = list(np.geomspace(eps_max, eps_min, cfg.eps_count))
-    curve = en.covering_curve(substrate, dist, eps)
+    curve = _band_curve(cfg, model, mf.quasi_uniform_grid(model, cfg.substrate), 24.0)
     report = en.dudley_report(curve)
     signed = wv.expected_sup(model, lam, cfg.samples, cfg.grid_density,
                              cfg.seed, statistic="max")
@@ -331,12 +337,7 @@ def _run_covering(cfg: ExperimentConfig):
         lp = en.lp_covering_bound(model, r)
         rows.append(("d_g", r, len(net.centers), lp))
         flags[f"lp_holds_r{r:g}"] = bool(len(net.centers) <= lp)
-    emb = em.make_embedding(model, cfg.lam)
-    dist = em.CanonicalDistance(emb)
-    eps_max = cfg.eps_max or em.diameter_estimate(emb, 4000) / 2.0
-    eps_min = cfg.eps_min or eps_max / 10.0
-    eps = list(np.geomspace(eps_max, eps_min, cfg.eps_count))
-    curve = en.covering_curve(substrate, dist, eps)
+    curve = _band_curve(cfg, model, substrate, 10.0)
     for e, n in curve.entries:
         rows.append((curve.distance_id, e, n, math.nan))
     slope = en.fit_exponent(curve, n_max=len(substrate) // 4)
@@ -388,6 +389,8 @@ def run(subcommand: str, cfg: ExperimentConfig):
     """Execute one subcommand; returns (Report, header, rows)."""
     if subcommand not in _RUNNERS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
+    if cfg.lams and subcommand in _ONE_LAMBDA:
+        raise ConfigError(f"{subcommand} runs at one lambda: use --lambda, not --lambdas")
     t0 = time.perf_counter()
     header, rows, summary, flags = _RUNNERS[subcommand](cfg)
     report = Report(experiment=subcommand, config=dataclasses.asdict(cfg),

@@ -289,10 +289,6 @@ def path_length_glambda(embedding: Embedding, waypoints) -> float:
 # scans
 
 
-def _sample_coords(model: ManifoldModel, count: int, rng: np.random.Generator) -> np.ndarray:
-    return np.stack([mf.uniform_sample(model, rng).coords for _ in range(count)])
-
-
 def lipschitz_scan(embedding: Embedding, pair_count: int, rng: np.random.Generator) -> float:
     """max over sampled pairs of dist_lambda / (lambda * dist_g).
 
@@ -309,9 +305,9 @@ def lipschitz_scan(embedding: Embedding, pair_count: int, rng: np.random.Generat
     model = embedding.model
     n_near = pair_count // 2
     n_far = pair_count - n_near
-    X = _sample_coords(model, pair_count, rng)
+    X = mf.uniform_sample_rows(model, rng, pair_count)
     Y = np.empty_like(X)
-    Y[:n_far] = _sample_coords(model, n_far, rng)
+    Y[:n_far] = mf.uniform_sample_rows(model, rng, n_far)
     r_hi = min(10.0 / lam, 0.999 * model.injectivity_radius)
     r_lo = 1e-3 / lam
     radii = np.exp(rng.uniform(math.log(r_lo), math.log(r_hi), size=n_near))

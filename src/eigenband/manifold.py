@@ -31,6 +31,7 @@ __all__ = [
     "geodesic_distance",
     "GeodesicDistance",
     "uniform_sample",
+    "uniform_sample_rows",
     "quasi_uniform_grid",
     "grid_coords",
     "product_grid",
@@ -180,13 +181,25 @@ class GeodesicDistance:
 
 def uniform_sample(model: ManifoldModel, stream: np.random.Generator) -> Point:
     """One draw from the normalized Riemannian volume measure."""
-    if model.kind == SPHERE2:
+    return Point(uniform_sample_rows(model, stream, 1)[0])
+
+
+def uniform_sample_rows(model: ManifoldModel, stream: np.random.Generator,
+                        count: int) -> np.ndarray:
+    """count successive uniform_sample draws from stream, as coordinate rows."""
+    if model.kind != SPHERE2:
+        L = np.array(model.side_lengths)
+        rows = np.empty((count, model.dim))
+        for row in rows:
+            row[:] = stream.uniform(0.0, 1.0, size=model.dim) * L
+        return rows
+    rows = np.empty((count, 3))
+    for row in rows:
         v = stream.standard_normal(3)
         while float(np.linalg.norm(v)) < 1e-12:
             v = stream.standard_normal(3)
-        return Point(v / np.linalg.norm(v))
-    L = np.array(model.side_lengths)
-    return Point(stream.uniform(0.0, 1.0, size=model.dim) * L)
+        row[:] = v / np.linalg.norm(v)
+    return rows
 
 
 def _fibonacci_coords(count: int) -> np.ndarray:

@@ -68,7 +68,7 @@ def test_criterion_12_wave_increments_match_distance():
     _check(12)
 
 
-@pytest.mark.parametrize("index, study", [(3, "profile"), (11, "claim")])
+@pytest.mark.parametrize("index, study", [(3, "profile"), (4, "lipschitz"), (11, "claim")])
 def test_criterion_verdict_comes_from_cli_study(monkeypatch, index, study):
     real_run = cli.run
     calls = []

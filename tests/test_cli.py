@@ -32,7 +32,7 @@ def test_weyl_csv_deterministic(tmp_path):
     assert outs[0].read_bytes() == outs[1].read_bytes() == first
 
 
-def test_supnorm_workers_do_not_change_csv(tmp_path):
+def test_supnorm_csv_identical_across_runs(tmp_path):
     base = ["supnorm", "--lambda", "8", "--samples", "6", "--seed", "11",
             "--grid-density", "4"]
     a = tmp_path / "a"
@@ -99,6 +99,14 @@ def test_mistyped_config_value_exits_config(tmp_path, capsys, values):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("subcommand", ["profile", "isometry", "dudley", "covering"])
+def test_one_lambda_study_rejects_lambda_list(tmp_path, capsys, subcommand):
+    assert _run([subcommand, "--lambdas", "200", "--out", str(tmp_path)]) \
+        == cli.EXIT_CONFIG
+    assert "--lambda" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_config_values_take_their_field_types(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"lam": 5, "samples": 4.0, "lams": [3, 4]}))
@@ -116,7 +124,7 @@ def test_exit_code_io_error():
 def test_exit_code_verify_failure(tmp_path, monkeypatch):
     fake = acceptance.CriterionResult(index=1, title="t", passed=False,
                                       detail="forced", seconds=0.0, budget_s=1.0)
-    monkeypatch.setattr(acceptance, "run_all", lambda only=None: [fake])
+    monkeypatch.setattr(acceptance, "run_all", lambda: [fake])
     assert _run(["verify", "--out", str(tmp_path)]) == cli.EXIT_VERIFY
 
 
@@ -197,7 +205,7 @@ def test_verify_csv_has_no_timings(tmp_path, monkeypatch):
                 for i in (1, 2)]
     for run_idx, seconds in enumerate((0.25, 1.5)):
         monkeypatch.setattr(acceptance, "run_all",
-                            lambda only=None, s=seconds: fake_results(s))
+                            lambda s=seconds: fake_results(s))
         assert _run(["verify", "--out", str(tmp_path / str(run_idx))]) == 0
     csvs = [_newest(tmp_path / str(i), ".csv").read_bytes() for i in (0, 1)]
     assert csvs[0] == csvs[1]

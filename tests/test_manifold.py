@@ -89,6 +89,16 @@ def test_uniform_sample_on_model():
     assert tp[:, 1].min() >= 0 and tp[:, 1].max() < 1.5 * math.pi
 
 
+@pytest.mark.parametrize("model", [SPHERE, TORUS], ids=["sphere", "torus"])
+@pytest.mark.parametrize("seed", [3, 8])
+@pytest.mark.parametrize("count", [1, 1000])
+def test_uniform_sample_rows_are_successive_draws(model, seed, count):
+    rng = np.random.Generator(np.random.Philox(seed))
+    loop = np.stack([mf.uniform_sample(model, rng).coords for _ in range(count)])
+    rows = mf.uniform_sample_rows(model, np.random.Generator(np.random.Philox(seed)), count)
+    assert np.array_equal(rows, loop)
+
+
 def test_quasi_uniform_grid():
     for model, hint in ((SPHERE, 500), (TORUS, 300)):
         pts = mf.quasi_uniform_grid(model, hint)
