@@ -70,10 +70,6 @@ class ProfilePoint(NamedTuple):
 
 def make_embedding(model: ManifoldModel, lam: float) -> Embedding:
     band = enumerate_band(model, lam)
-    if band.m_lambda > 0:
-        k = k_lambda(band.m_lambda)
-        if abs(k - band.k_lambda) > 1e-12 * k:
-            raise AssertionError("stored band normalization is stale")
     return Embedding(band=band, model=model,
                      terms=_kernel_terms(model, band.lam, band.lam + 1.0))
 

@@ -103,7 +103,8 @@ def _farthest_point_order(row, stop_radius: float):
     """Insertion order and radii until the next insertion would be <= stop_radius.
 
     row(j) gives the distances from substrate point j to the whole substrate,
-    possibly in a buffer that the next call overwrites.
+    possibly in a buffer that the next call overwrites. A nan distance
+    raises ValueError, since no radius would ever stop the traversal.
     """
     dmin = row(0).copy()
     order = [0]
@@ -113,6 +114,8 @@ def _farthest_point_order(row, stop_radius: float):
         r = float(dmin[j])
         if r <= stop_radius:
             break
+        if math.isnan(r):
+            raise ValueError(f"distance to substrate point {j} is nan")
         order.append(j)
         radii.append(r)
         np.minimum(dmin, row(j), out=dmin)
@@ -127,8 +130,8 @@ def greedy_net(points, distance, epsilon: float) -> Net:
     """
     if len(points) == 0:
         raise ValueError("substrate is empty")
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     C = np.stack([p.coords for p in points])
     order, _, dmin = _farthest_point_order(_row_source(distance, C), epsilon)
     return Net(centers=[points[i] for i in order], radius=epsilon,
@@ -145,8 +148,8 @@ def covering_curve(substrate, distance, epsilon_list) -> CoveringCurve:
     eps = [float(e) for e in epsilon_list]
     if not eps:
         raise ValueError("epsilon list is empty")
-    if any(e <= 0 for e in eps):
-        raise ValueError("epsilon values must be positive")
+    if not all(0 < e < math.inf for e in eps):
+        raise ValueError("epsilon values must be positive and finite")
     if any(a < b for a, b in zip(eps, eps[1:])):
         raise ValueError("epsilon values must be sorted descending")
     if len(substrate) == 0:

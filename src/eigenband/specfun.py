@@ -1,7 +1,7 @@
 """Double precision special functions used everywhere else.
 
-log-gamma, Legendre polynomials, fully normalized associated Legendre
-values, and the radial kernel profiles Lambda_n with Lambda_n(0) = 1.
+Legendre polynomials, fully normalized associated Legendre values, and
+the radial kernel profiles Lambda_n with Lambda_n(0) = 1.
 All functions are pure and accept scalars; legendre_p,
 assoc_legendre_normalized and radial_profile also broadcast over ndarrays.
 """
@@ -13,7 +13,6 @@ import math
 import numpy as np
 
 __all__ = [
-    "log_gamma",
     "legendre_p",
     "legendre_weighted_sum",
     "assoc_legendre_upward",
@@ -22,19 +21,6 @@ __all__ = [
 ]
 
 INV_SQRT_4PI = 0.5 / math.sqrt(math.pi)
-
-# series / asymptotic split for J_0; both branches agree to ~5e-11 on [10, 14]
-J0_SWITCH = 12.0
-# cap on J_0 power-series terms; below J0_SWITCH the terms fall under 1e-18 long before
-J0_MAX_TERMS = 200
-
-
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for finite x > 0."""
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise ValueError(f"log_gamma needs finite x > 0, got {x}")
-    return math.lgamma(x)
 
 
 def _check_t(t):
@@ -122,72 +108,24 @@ def assoc_legendre_normalized(l: int, m: int, t):
     return float(p) if arr.ndim == 0 else p
 
 
-# ((2k-1)!!)^2 / (k! 8^k) for the Hankel expansion of J_0
-_HANKEL_C = [1.0]
-for _k in range(1, 28):
-    _HANKEL_C.append(_HANKEL_C[-1] * (2 * _k - 1) ** 2 / (8.0 * _k))
+def _bessel_j0(x):
+    """J_0(x) = (1/pi) int_0^pi cos(x sin t) dt by the midpoint rule.
 
-
-def _j0_series(x):
-    """Power series sum (-1)^k (x^2/4)^k / (k!)^2, compensated accumulation."""
-    q = 0.25 * x * x
-    term = np.ones_like(x)
-    total = np.ones_like(x)
-    comp = np.zeros_like(x)
-    for k in range(1, J0_MAX_TERMS + 1):
-        term = term * (-q) / (k * k)
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if np.all(np.abs(term) < 1e-18):
-            break
-    return total
-
-
-def _j0_asymptotic(x):
-    """Hankel expansion for x >= ~10, truncated at the smallest term."""
-    z = 1.0 / x
-    p_sum = np.ones_like(x)
-    q_sum = _HANKEL_C[1] * z
-    zpow = z
-    prev_mag = np.abs(q_sum)
-    frozen = np.zeros_like(x, dtype=bool)
-    for k in range(2, len(_HANKEL_C)):
-        zpow = zpow * z
-        term = _HANKEL_C[k] * zpow
-        mag = np.abs(term)
-        # divergent tail: stop adding once terms grow
-        frozen = frozen | (mag > prev_mag)
-        live = ~frozen
-        signed = term * (-1.0) ** (k // 2)
-        if k % 2 == 0:
-            p_sum = p_sum + np.where(live, signed, 0.0)
-        else:
-            q_sum = q_sum + np.where(live, signed, 0.0)
-        prev_mag = np.where(live, mag, prev_mag)
-        if not np.any(live):
-            break
-    w = x - 0.25 * math.pi
-    return np.sqrt(2.0 / (math.pi * x)) * (p_sum * np.cos(w) + q_sum * np.sin(w))
-
-
-def _bessel_j0(arr):
-    out = np.empty_like(arr)
-    small = arr < J0_SWITCH
-    if np.any(small):
-        out[small] = _j0_series(arr[small])
-    if np.any(~small):
-        out[~small] = _j0_asymptotic(arr[~small])
-    return out
+    The integrand has period pi, so the rule on n nodes errs by
+    2 sum_q (-1)^q J_{2qn}(x); with n = 32 + ceil(max x) those terms are
+    below rounding. Nodes are added one at a time, so memory stays O(len(x)).
+    """
+    n = 32 + math.ceil(x.max(initial=0.0))
+    total = np.zeros_like(x)
+    for j in range(n):
+        total += np.cos(x * math.sin((j + 0.5) * math.pi / n))
+    return total / n
 
 
 def radial_profile(n: int, r):
     """Normalized radial kernel profile Lambda_n(r) with Lambda_n(0) = 1.
 
-    n=1: cos r. n=2: J_0(r), power series below r=12 and the Hankel
-    asymptotic expansion above. n=3: sin(r)/r with a short series near 0.
-    Absolute error <= 1e-10 on r in [0, 50].
+    n=1: cos r. n=2: J_0(r) from Bessel's integral. n=3: sin(r)/r.
     """
     if n not in (1, 2, 3):
         raise ValueError(f"radial_profile supports n in {{1, 2, 3}}, got {n}")
@@ -200,9 +138,5 @@ def radial_profile(n: int, r):
     elif n == 2:
         out = _bessel_j0(shaped)
     else:
-        out = np.empty_like(shaped)
-        tiny = shaped < 1e-4
-        st = shaped[tiny]
-        out[tiny] = 1.0 - st * st / 6.0 * (1.0 - st * st / 20.0)
-        out[~tiny] = np.sin(shaped[~tiny]) / shaped[~tiny]
+        out = np.sinc(shaped / math.pi)
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)

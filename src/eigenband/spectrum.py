@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .manifold import FLAT_TORUS, SPHERE2, ManifoldModel, weyl_constants
-from .specfun import log_gamma
 
 __all__ = [
     "Mode",
@@ -51,11 +50,11 @@ class Band:
 
 
 def k_lambda(m: int) -> float:
-    """sqrt(2) Gamma((m+1)/2) / Gamma(m/2), evaluated through log-gamma."""
+    """sqrt(2) Gamma((m+1)/2) / Gamma(m/2), evaluated through math.lgamma."""
     if m != int(m) or m < 1:
         raise ValueError(f"band dimension must be an integer >= 1, got {m}")
     m = int(m)
-    return math.sqrt(2.0) * math.exp(log_gamma((m + 1) / 2.0) - log_gamma(m / 2.0))
+    return math.sqrt(2.0) * math.exp(math.lgamma((m + 1) / 2.0) - math.lgamma(m / 2.0))
 
 
 def _sphere_degree_ceiling(lam: float) -> int:

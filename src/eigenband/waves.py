@@ -96,8 +96,8 @@ def eval_wave(wave: RandomWave, x: Point) -> float:
 
 def sup_norm_bound(model: ManifoldModel, lam: float) -> SupBound:
     """Sup-norm bound 16 sqrt(2n/vol) sqrt(ln lambda), and its aperiodic variant."""
-    if lam <= 1.0:
-        raise ValueError(f"bound needs lambda > 1, got {lam}")
+    if not 1.0 < lam < math.inf:
+        raise ValueError(f"bound needs finite lambda > 1, got {lam}")
     general = 16.0 * math.sqrt(2.0 * model.dim / model.volume) * math.sqrt(math.log(lam))
     return SupBound(general=general, aperiodic=general / math.sqrt(2.0))
 
@@ -107,8 +107,8 @@ def sup_norm_bound(model: ManifoldModel, lam: float) -> SupBound:
 
 
 def _ladder(density: float) -> list[float]:
-    if density < LADDER_BASE:
-        raise ValueError(f"grid density must be >= {LADDER_BASE}, got {density}")
+    if not LADDER_BASE <= density < math.inf:
+        raise ValueError(f"grid density must be finite and >= {LADDER_BASE}, got {density}")
     levels = [float(LADDER_BASE)]
     while levels[-1] < density:
         levels.append(levels[-1] * 2.0)

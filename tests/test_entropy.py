@@ -66,6 +66,25 @@ def test_greedy_net_trivial_cases():
         en.greedy_net(pts, dg, 0.0)
     with pytest.raises(ValueError):
         en.greedy_net([], dg, 1.0)
+    # a nan stop radius would never stop the traversal
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            en.greedy_net(pts, dg, bad)
+
+
+def test_nan_distance_raises():
+    pts = mf.quasi_uniform_grid(SPHERE, 50)
+    bad = pts[7].coords
+
+    def d(a, b):
+        if np.array_equal(a.coords, bad) or np.array_equal(b.coords, bad):
+            return math.nan
+        return mf.geodesic_distance(SPHERE, a, b)
+
+    with pytest.raises(ValueError, match="nan"):
+        en.greedy_net(pts, d, 0.5)
+    with pytest.raises(ValueError, match="nan"):
+        en.covering_curve(pts, d, [1.0, 0.5])
 
 
 def test_greedy_net_accepts_plain_callable():
@@ -102,6 +121,9 @@ def test_covering_curve_validation():
         en.covering_curve(pts, dg, [0.5, 1.0])
     with pytest.raises(ValueError):
         en.covering_curve(pts, dg, [1.0, -0.5])
+    for bad in ([math.nan], [math.inf], [1.0, math.nan, 0.5]):
+        with pytest.raises(ValueError):
+            en.covering_curve(pts, dg, bad)
 
 
 class _KernelRows:
@@ -262,8 +284,13 @@ def test_import_does_not_load_scipy():
     # scipy is imported only by the functions that need it
     src = str(Path(eigenband.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, eigenband; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    report = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    # the sphere lambda 200 distance profile reaches J_0 arguments up to ~630
+    profile = ("from eigenband import embed, manifold; "
+               "e = embed.make_embedding(manifold.sphere2(), 200.0); "
+               "embed.distance_profile(e, [0.0, 0.5, 3.14159]); ")
+    for body in ("", profile):
+        code = "import sys, eigenband; " + body + report
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60)
+        assert out.stdout.strip() == "[]"

@@ -117,8 +117,18 @@ def test_sup_norm_bound_values():
     expected = 16.0 * math.sqrt(4.0 / (4.0 * math.pi)) * math.sqrt(math.log(40.0))
     assert b.general == pytest.approx(expected, rel=1e-14)
     assert b.aperiodic == pytest.approx(b.general / math.sqrt(2.0), rel=1e-14)
-    with pytest.raises(ValueError):
-        wv.sup_norm_bound(SPHERE, 1.0)
+    for bad in (1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            wv.sup_norm_bound(SPHERE, bad)
+
+
+def test_grid_density_validated():
+    wave = wv.sample_wave(sp.enumerate_band(TORUS, 9.0), 5, 0)
+    for bad in (3.9, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            wv.expected_sup(TORUS, 9.0, 4, bad, seed=5)
+        with pytest.raises(ValueError):
+            wv.sup_norm(wave, bad)
 
 
 def test_mean_sup_below_bound():
