@@ -278,6 +278,12 @@ def _band_curve(cfg: ExperimentConfig, model, substrate, eps_ratio: float):
     return en.covering_curve(substrate, em.CanonicalDistance(emb), eps)
 
 
+def _traversal_counts(curve) -> dict:
+    """Centers the traversal inserted (the largest net) and distances it computed."""
+    return {"insertions": max(n for _, n in curve.entries),
+            "row_entries": curve.row_entries}
+
+
 def _run_dudley(cfg: ExperimentConfig):
     model = _model(cfg)
     lam = cfg.lam
@@ -293,7 +299,7 @@ def _run_dudley(cfg: ExperimentConfig):
     abs_limit = 2.0 * signed.mean + 3.0 * math.hypot(2.0 * signed.std_error,
                                                      absolute.std_error)
     summary = {"dudley_bound": report.bound, "half_diameter": report.half_diameter,
-               "tail_exponent": report.tail_exponent,
+               "tail_exponent": report.tail_exponent, **_traversal_counts(curve),
                "mean_sup_signed": signed.mean, "se_signed": signed.std_error,
                "mean_sup_abs": absolute.mean, "se_abs": absolute.std_error,
                "abs_limit": abs_limit,
@@ -343,7 +349,7 @@ def _run_covering(cfg: ExperimentConfig):
     slope = en.fit_exponent(curve, n_max=len(substrate) // 4)
     flags["slope_matches_dim"] = bool(abs(slope - model.dim) <= 0.3)
     header = ("distance", "epsilon", "net_size", "lp_bound")
-    return header, rows, {"dlambda_slope": slope}, flags
+    return header, rows, {"dlambda_slope": slope, **_traversal_counts(curve)}, flags
 
 
 def _run_claim(cfg: ExperimentConfig):

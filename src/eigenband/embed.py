@@ -193,29 +193,47 @@ class CanonicalDistance:
         exy = _kernel(self.embedding.model, self.embedding.terms, X, Y)
         return _dist_from_kernels(self._diag, self._diag, exy, self._k)
 
-    def substrate_rows(self, C: np.ndarray):
-        """j -> distances from C[j] to every row of C, for repeated rows.
+    def substrate_rows(self, C: np.ndarray) -> "_FeatureRows":
+        """Row source over the live points of C, for farthest-point traversal.
 
-        Builds the feature matrix Phi(C) once; each row then takes its
-        kernel values from one matrix-vector product Phi(C) Phi(C[j]) in
-        place of the addition theorem. Every row is computed in one buffer,
-        as -2 exy + 2 diag, which rounds as _dist_from_kernels's
+        Builds the feature matrix Phi(C) once; row k then takes its kernel
+        values from one matrix-vector product Phi Phi[k] over the live rows
+        in place of the addition theorem. Every row is computed in one
+        buffer, as -2 exy + 2 diag, which rounds as _dist_from_kernels's
         2 diag - 2 exy does, so a caller that keeps a row past the next call
-        must copy it.
+        must copy it. drop(settled) removes the live points where the mask
+        is True by compacting Phi and the buffer in place.
         """
         F = bs.mode_matrix(self.embedding.model, self.embedding.band.modes, C)
-        buf = np.empty(len(C))
-        two_diag = self._diag + self._diag
+        return _FeatureRows(F, self._diag + self._diag, self._k)
 
-        def row(j: int) -> np.ndarray:
-            np.dot(F, F[j], out=buf)
-            np.multiply(buf, -2.0, out=buf)
-            np.add(buf, two_diag, out=buf)
-            np.maximum(buf, 0.0, out=buf)
-            np.sqrt(buf, out=buf)
-            return np.divide(buf, self._k, out=buf)
 
-        return row
+class _FeatureRows:
+    # rows moved per gather while compacting: bounds the temporary copy
+    _BLOCK = 1024
+
+    def __init__(self, F: np.ndarray, two_diag: float, k: float):
+        self._F, self._buf = F, np.empty(len(F))
+        self._two_diag, self._k = two_diag, k
+
+    def __call__(self, k: int) -> np.ndarray:
+        buf = self._buf
+        np.dot(self._F, self._F[k], out=buf)
+        np.multiply(buf, -2.0, out=buf)
+        np.add(buf, self._two_diag, out=buf)
+        np.maximum(buf, 0.0, out=buf)
+        np.sqrt(buf, out=buf)
+        return np.divide(buf, self._k, out=buf)
+
+    def drop(self, settled: np.ndarray) -> None:
+        # keep[i] >= i, so a forward copy in blocks never reads a row it has
+        # already overwritten
+        keep = np.flatnonzero(~settled)
+        F = self._F
+        for start in range(0, keep.size, self._BLOCK):
+            block = keep[start:start + self._BLOCK]
+            F[start:start + block.size] = F[block]
+        self._F, self._buf = F[:keep.size], self._buf[:keep.size]
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,13 @@
 Nets come from farthest-point traversal, which yields covering-number
 upper bounds; that is the direction the entropy integral needs. One
 traversal of the substrate produces the whole covering curve, because the
-insertion order never depends on epsilon. A distance that offers
-substrate_rows (CanonicalDistance) supplies each insertion's row from
+insertion order never depends on epsilon. The traversal keeps a live set:
+a point whose nearest-center distance has fallen to the stop radius can
+never be inserted or be the farthest point again, since that distance only
+shrinks and the traversal stops once the largest one is at the stop
+radius. Once such settled points are half of the live set they leave it,
+and later rows are computed only for the points still live. A distance
+that offers substrate_rows (CanonicalDistance) supplies those rows from
 feature vectors computed once per substrate; any other distance is asked
 for rows(x, C), or called pair by pair.
 
@@ -54,6 +59,8 @@ class CoveringCurve:
     entries: tuple
     distance_id: str
     diameter: float
+    # distances the traversal computed (0 for a curve built by hand)
+    row_entries: int = 0
 
 
 @dataclass(frozen=True)
@@ -90,52 +97,85 @@ def _rows_fn(distance):
     return fallback
 
 
+class _LiveRows:
+    """Row source over rows(x, C): distances from live point k to every live
+    point, with drop(settled) removing the points where the mask is True."""
+
+    def __init__(self, rows, C: np.ndarray):
+        self._rows, self._C = rows, C
+
+    def __call__(self, k: int) -> np.ndarray:
+        return self._rows(self._C[k], self._C)
+
+    def drop(self, settled: np.ndarray) -> None:
+        self._C = self._C[~settled]
+
+
 def _row_source(distance, C: np.ndarray):
-    """j -> distances from C[j] to every row of C."""
     substrate_rows = getattr(distance, "substrate_rows", None)
     if substrate_rows is not None:
         return substrate_rows(C)
-    rows = _rows_fn(distance)
-    return lambda j: rows(C[j], C)
+    return _LiveRows(_rows_fn(distance), C)
 
 
-def _farthest_point_order(row, stop_radius: float):
+def _farthest_point_order(rows, stop_radius: float):
     """Insertion order and radii until the next insertion would be <= stop_radius.
 
-    row(j) gives the distances from substrate point j to the whole substrate,
-    possibly in a buffer that the next call overwrites. A nan distance
-    raises ValueError, since no radius would ever stop the traversal.
+    rows is a row source over the substrate (see _row_source); its rows may
+    share a buffer that the next call overwrites. Settled points (nearest-
+    center distance <= stop_radius) leave the live set once they are half
+    of it. The live set stays in substrate order, so argmax ties still go
+    to the lowest substrate index. Also returns the largest nearest-center
+    distance recorded, each point's as of its last update, and the number
+    of distance entries computed. A nan distance raises ValueError, since
+    no radius would ever stop the traversal.
     """
-    dmin = row(0).copy()
+    dmin = rows(0).copy()
+    live = np.arange(dmin.size)
     order = [0]
     radii = [math.inf]
+    covered = 0.0
+    entries = dmin.size
     while True:
-        j = int(np.argmax(dmin))
-        r = float(dmin[j])
+        settled = dmin <= stop_radius
+        dropped = int(np.count_nonzero(settled))
+        if 2 * dropped >= dmin.size:
+            covered = max(covered, float(dmin[settled].max()))
+            keep = ~settled
+            live, dmin = live[keep], dmin[keep]
+            if not dmin.size:
+                break
+            rows.drop(settled)
+        k = int(np.argmax(dmin))
+        r = float(dmin[k])
         if r <= stop_radius:
+            covered = max(covered, r)
             break
         if math.isnan(r):
-            raise ValueError(f"distance to substrate point {j} is nan")
-        order.append(j)
+            raise ValueError(f"distance to substrate point {live[k]} is nan")
+        order.append(int(live[k]))
         radii.append(r)
-        np.minimum(dmin, row(j), out=dmin)
-    return order, radii, dmin
+        np.minimum(dmin, rows(k), out=dmin)
+        entries += dmin.size
+    return order, radii, covered, entries
 
 
 def greedy_net(points, distance, epsilon: float) -> Net:
     """Farthest-point net: add the farthest substrate point while > epsilon.
 
     Ties go to the lowest substrate index. covered_check is the largest
-    remaining substrate-to-center distance, <= epsilon by construction.
+    nearest-center distance the traversal recorded: exact for the points
+    still live at the end, and as of the moment it left the live set for
+    any other point. It bounds the net's covering radius of the substrate
+    from above and is <= epsilon by construction.
     """
     if len(points) == 0:
         raise ValueError("substrate is empty")
     if not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     C = np.stack([p.coords for p in points])
-    order, _, dmin = _farthest_point_order(_row_source(distance, C), epsilon)
-    return Net(centers=[points[i] for i in order], radius=epsilon,
-               covered_check=float(dmin.max()))
+    order, _, covered, _ = _farthest_point_order(_row_source(distance, C), epsilon)
+    return Net(centers=[points[i] for i in order], radius=epsilon, covered_check=covered)
 
 
 def covering_curve(substrate, distance, epsilon_list) -> CoveringCurve:
@@ -155,7 +195,8 @@ def covering_curve(substrate, distance, epsilon_list) -> CoveringCurve:
     if len(substrate) == 0:
         raise ValueError("substrate is empty")
     C = np.stack([p.coords for p in substrate])
-    order, radii, _ = _farthest_point_order(_row_source(distance, C), min(eps))
+    order, radii, _, row_entries = _farthest_point_order(_row_source(distance, C),
+                                                          min(eps))
     inserted = np.array(radii[1:])
     entries = tuple((e, 1 + int((inserted > e).sum())) for e in eps)
     rows = _rows_fn(distance)
@@ -164,7 +205,7 @@ def covering_curve(substrate, distance, epsilon_list) -> CoveringCurve:
     for i in probe:
         diam = max(diam, float(rows(C[i], C[probe]).max()))
     return CoveringCurve(entries=entries, distance_id=_distance_id(distance),
-                         diameter=diam)
+                         diameter=diam, row_entries=row_entries)
 
 
 def fit_exponent(curve: CoveringCurve, n_min: int = 16, n_max: int | None = None) -> float:

@@ -133,6 +133,21 @@ def test_run_rejects_unknown_subcommand():
         cli.run("nope", cli.ExperimentConfig())
 
 
+@pytest.mark.parametrize("subcommand", ["covering", "dudley"])
+def test_band_curve_reports_traversal_counts(subcommand):
+    cfg = cli.ExperimentConfig(lam=6.0, substrate=600, eps_count=5, samples=3,
+                               grid_density=4.0, seed=3)
+    report, _, rows = cli.run(subcommand, cfg)
+    if subcommand == "covering":
+        sizes = [n for distance, _, n, _ in rows if distance == "d_lambda"]
+    else:
+        sizes = [n for _, n in rows]
+    insertions = report.summary["insertions"]
+    assert insertions == max(sizes) > 1
+    # one row over the live set per center, the first over the whole substrate
+    assert 600 < report.summary["row_entries"] < 600 * insertions
+
+
 def test_report_json_fields(tmp_path):
     assert _run(["supnorm", "--lambda", "6", "--samples", "5", "--seed", "2",
                  "--grid-density", "4", "--out", str(tmp_path)]) == 0

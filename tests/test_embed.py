@@ -129,6 +129,32 @@ def test_canonical_distance_rows():
                                                                 F @ F[j], dist._k))
 
 
+def test_substrate_rows_drop_compacts_in_place():
+    # each drop leaves Phi's kept rows in order, and later rows cover only them
+    import tracemalloc
+
+    emb = em.make_embedding(SPHERE, 40.0)
+    dist = em.CanonicalDistance(emb)
+    C = mf.uniform_sample_rows(SPHERE, np.random.default_rng(83), 5000)
+    full = bs.mode_matrix(SPHERE, emb.band.modes, C)
+    rows = dist.substrate_rows(C)
+    live = np.arange(len(C))
+    rng = np.random.default_rng(84)
+    for share in (0.3, 0.6, 0.5):
+        settled = rng.random(live.size) < share
+        tracemalloc.start()
+        rows.drop(settled)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        # compacted in blocks, not gathered into a second Phi
+        assert peak < full.nbytes / 4
+        live = live[~settled]
+        assert np.array_equal(rows._F, full[live])
+        for k in (0, live.size // 2, live.size - 1):
+            want = dist.rows(C[live[k]], C[live])
+            assert np.allclose(rows(k) ** 2, want ** 2, rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("model,lam", [(SPHERE, 9.0), (SPHERE, 60.0), (TORUS, 5.0)])
 def test_pullback_metric_routes_agree(model, lam):
     emb = em.make_embedding(model, lam)

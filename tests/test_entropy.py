@@ -10,6 +10,7 @@ import pytest
 from scipy.integrate import quad
 
 import eigenband
+from eigenband import basis as bs
 from eigenband import embed as em
 from eigenband import entropy as en
 from eigenband import manifold as mf
@@ -161,8 +162,8 @@ def test_substrate_rows_match_kernel_rows(model, lam, fractions):
     dist = em.CanonicalDistance(emb)
     ref = _KernelRows(dist)
     eps = [f * em.diameter_estimate(emb, 4000) for f in fractions]
-    order, radii, _ = en._farthest_point_order(en._row_source(dist, C), eps[-1])
-    ref_order, ref_radii, _ = en._farthest_point_order(en._row_source(ref, C), eps[-1])
+    order, radii, _, _ = en._farthest_point_order(en._row_source(dist, C), eps[-1])
+    ref_order, ref_radii, _, _ = en._farthest_point_order(en._row_source(ref, C), eps[-1])
     assert len(order) > 50
     assert order == ref_order
     assert np.allclose(radii[1:], ref_radii[1:], rtol=0, atol=1e-12)
@@ -172,6 +173,108 @@ def test_substrate_rows_match_kernel_rows(model, lam, fractions):
     ref_net = en.greedy_net(pts, ref, eps[1])
     assert [id(c) for c in net.centers] == [id(c) for c in ref_net.centers]
     assert net.covered_check == pytest.approx(ref_net.covered_check, abs=1e-12)
+
+
+def _full_substrate_order(row, stop_radius):
+    """Farthest-point traversal with every row over the whole substrate: the
+    reference that the live-set traversal must reproduce. Also returns the
+    exact final covering radius."""
+    dmin = row(0).copy()
+    order, radii = [0], [math.inf]
+    while True:
+        j = int(np.argmax(dmin))
+        r = float(dmin[j])
+        if r <= stop_radius:
+            return order, radii, float(dmin.max())
+        order.append(j)
+        radii.append(r)
+        np.minimum(dmin, row(j), out=dmin)
+
+
+def _route(kind, model, lam=6.0):
+    """A distance of one row route and full_rows: C -> (j -> the parent's
+    row from substrate point j to all of C)."""
+    if kind == "feature":
+        dist = em.CanonicalDistance(em.make_embedding(model, lam))
+
+        def full_rows(C):
+            F = bs.mode_matrix(model, dist.embedding.band.modes, C)
+            return lambda j: em._dist_from_kernels(dist._diag, dist._diag, F @ F[j],
+                                                   dist._k)
+
+        return dist, full_rows
+    if kind == "geodesic":
+        return mf.GeodesicDistance(model), lambda C: lambda j: mf.geodesic_rows(model, C[j], C)
+
+    def d(a, b):
+        return mf.geodesic_distance(model, a, b)
+
+    def full_rows(C):
+        P = [mf.make_point(model, c) for c in C]
+        return lambda j: np.array([d(P[j], q) for q in P])
+
+    return d, full_rows
+
+
+@pytest.mark.parametrize("kind,model,lam,count,fractions", [
+    ("feature", SPHERE, 9.0, 2000, (0.5, 0.25)),
+    ("feature", SPHERE, 40.0, 2000, (0.75, 0.6)),
+    ("feature", TORUS, 6.0, 2000, (0.7, 0.45)),
+    ("geodesic", SPHERE, None, 2000, (0.3, 0.08)),
+    ("geodesic", TORUS, None, 2000, (0.3, 0.08)),
+    ("callable", SPHERE, None, 300, (0.25, 0.12)),
+])
+def test_live_set_traversal_matches_full_substrate(kind, model, lam, count, fractions):
+    distance, full_rows = _route(kind, model, lam)
+    pts = _jittered_grid(model, count, 31)
+    C = np.stack([p.coords for p in pts])
+    reach = float(full_rows(C)(0).max())
+    for eps in (f * reach for f in fractions):
+        order, radii, covered, row_entries = en._farthest_point_order(
+            en._row_source(distance, C), eps)
+        ref_order, ref_radii, ref_covered = _full_substrate_order(full_rows(C), eps)
+        assert len(order) > 10
+        assert order == ref_order
+        assert np.allclose(radii[1:], ref_radii[1:], rtol=0, atol=1e-15)
+        assert ref_covered - 1e-15 <= covered <= eps
+        # the live set shrinks: fewer entries than one full row per insertion
+        assert count <= row_entries < count * len(order)
+
+
+@pytest.mark.parametrize("kind", ["feature", "geodesic", "callable"])
+@pytest.mark.parametrize("model", [SPHERE, TORUS])
+def test_live_set_empties_on_degenerate_substrates(kind, model):
+    # the live set can empty before the stop test; argmax of an empty array
+    # would raise
+    distance, _ = _route(kind, model)
+    grid = mf.quasi_uniform_grid(model, 40)
+    for pts, eps in (([grid[3]], 0.1), ([grid[5]] * 7, 0.1), (grid, 100.0)):
+        C = np.stack([p.coords for p in pts])
+        order, radii, covered, row_entries = en._farthest_point_order(
+            en._row_source(distance, C), eps)
+        assert order == [0] and radii == [math.inf]
+        assert 0.0 <= covered <= eps
+        assert row_entries == len(pts)
+        net = en.greedy_net(pts, distance, eps)
+        assert net.centers == [pts[0]] and net.covered_check == covered
+        curve = en.covering_curve(pts, distance, [eps])
+        assert curve.entries == ((eps, 1),) and curve.row_entries == len(pts)
+
+
+@pytest.mark.parametrize("model,lam", [(SPHERE, 9.0), (SPHERE, 20.0), (TORUS, 6.0)])
+def test_covered_check_bounds_covering_radius(model, lam):
+    # the brute-force covering radius of the centers <= covered_check <= eps
+    pts = _jittered_grid(model, 400, 37)
+    C = np.stack([p.coords for p in pts])
+    for distance in (mf.GeodesicDistance(model),
+                     em.CanonicalDistance(em.make_embedding(model, lam))):
+        reach = float(distance.rows(C[0], C).max())
+        for eps in (0.6 * reach, 0.35 * reach):
+            net = en.greedy_net(pts, distance, eps)
+            nearest = np.min([distance.rows(c.coords, C) for c in net.centers], axis=0)
+            # compared squared: the square root magnifies rounding near zero
+            assert nearest.max() ** 2 <= net.covered_check ** 2 + 1e-12
+            assert net.covered_check <= eps
 
 
 def test_dimension_recovery_geodesic():
