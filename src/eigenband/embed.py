@@ -35,7 +35,6 @@ __all__ = [
     "band_kernel",
     "cumulative_kernel",
     "dist_lambda",
-    "embed_norm",
     "pullback_metric",
     "path_length_glambda",
     "lipschitz_scan",
@@ -168,13 +167,9 @@ def dist_lambda(embedding: Embedding, x: Point, y: Point) -> float:
     return float(_dist_from_kernels(exx, eyy, exy, band.k_lambda))
 
 
-def embed_norm(embedding: Embedding, x: Point) -> float:
-    band = _require_modes(embedding)
-    return math.sqrt(max(0.0, band_kernel(embedding, x, x))) / band.k_lambda
-
-
 class CanonicalDistance:
-    """dist_lambda with a vectorized one-against-many row, for net builders."""
+    """dist_lambda for net builders: rows by the addition theorem, and a
+    feature route for the farthest-point traversal of a whole substrate."""
 
     name = "d_lambda"
 
@@ -193,47 +188,19 @@ class CanonicalDistance:
         exy = _kernel(self.embedding.model, self.embedding.terms, X, Y)
         return _dist_from_kernels(self._diag, self._diag, exy, self._k)
 
-    def substrate_rows(self, C: np.ndarray) -> "_FeatureRows":
-        """Row source over the live points of C, for farthest-point traversal.
+    def feature_rows(self, C: np.ndarray):
+        """The feature matrix Phi(C) and rows(f, F), the distances from the
+        feature row f to the rows of F, for farthest-point traversal.
 
-        Builds the feature matrix Phi(C) once; row k then takes its kernel
-        values from one matrix-vector product Phi Phi[k] over the live rows
-        in place of the addition theorem. Every row is computed in one
-        buffer, as -2 exy + 2 diag, which rounds as _dist_from_kernels's
-        2 diag - 2 exy does, so a caller that keeps a row past the next call
-        must copy it. drop(settled) removes the live points where the mask
-        is True by compacting Phi and the buffer in place.
+        A row takes its kernel values from one matrix-vector product F @ f
+        in place of the addition theorem.
         """
-        F = bs.mode_matrix(self.embedding.model, self.embedding.band.modes, C)
-        return _FeatureRows(F, self._diag + self._diag, self._k)
+        diag, k = self._diag, self._k
 
+        def rows(f: np.ndarray, F: np.ndarray) -> np.ndarray:
+            return _dist_from_kernels(diag, diag, F @ f, k)
 
-class _FeatureRows:
-    # rows moved per gather while compacting: bounds the temporary copy
-    _BLOCK = 1024
-
-    def __init__(self, F: np.ndarray, two_diag: float, k: float):
-        self._F, self._buf = F, np.empty(len(F))
-        self._two_diag, self._k = two_diag, k
-
-    def __call__(self, k: int) -> np.ndarray:
-        buf = self._buf
-        np.dot(self._F, self._F[k], out=buf)
-        np.multiply(buf, -2.0, out=buf)
-        np.add(buf, self._two_diag, out=buf)
-        np.maximum(buf, 0.0, out=buf)
-        np.sqrt(buf, out=buf)
-        return np.divide(buf, self._k, out=buf)
-
-    def drop(self, settled: np.ndarray) -> None:
-        # keep[i] >= i, so a forward copy in blocks never reads a row it has
-        # already overwritten
-        keep = np.flatnonzero(~settled)
-        F = self._F
-        for start in range(0, keep.size, self._BLOCK):
-            block = keep[start:start + self._BLOCK]
-            F[start:start + block.size] = F[block]
-        self._F, self._buf = F[:keep.size], self._buf[:keep.size]
+        return bs.mode_matrix(self.embedding.model, self.embedding.band.modes, C), rows
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,17 @@
 Nets come from farthest-point traversal, which yields covering-number
 upper bounds; that is the direction the entropy integral needs. One
 traversal of the substrate produces the whole covering curve, because the
-insertion order never depends on epsilon. The traversal keeps a live set:
-a point whose nearest-center distance has fallen to the stop radius can
-never be inserted or be the farthest point again, since that distance only
-shrinks and the traversal stops once the largest one is at the stop
-radius. Once such settled points are half of the live set they leave it,
-and later rows are computed only for the points still live. A distance
-that offers substrate_rows (CanonicalDistance) supplies those rows from
-feature vectors computed once per substrate; any other distance is asked
-for rows(x, C), or called pair by pair.
+insertion order never depends on epsilon. The traversal walks one array it
+owns, one row per substrate point, and asks rows(x, X) for the distances
+from row x to every row of X. A point whose nearest-center distance has
+fallen to the stop radius can never be inserted or be the farthest point
+again, since that distance only shrinks and the traversal stops once the
+largest one is at the stop radius. Once such settled points are half of
+the live set, their rows are compacted out of the array in place, and later
+rows cover only the points still live. A distance that offers
+feature_rows(C) (CanonicalDistance) supplies both: its feature matrix of
+the substrate, and rows over feature vectors. Any other distance walks a
+copy of the coordinates with its rows(x, C), or is called pair by pair.
 
 scipy is imported inside the two functions that need it, so importing the
 package does not load it.
@@ -41,6 +43,8 @@ __all__ = [
 
 # pairs whose max underlies the reported curve diameter
 _DIAM_PROBE = 64
+# rows moved per gather while compacting: bounds the temporary copy
+_BLOCK = 1024
 # smallest curve entries used for the tail power-law fit
 _TAIL_FIT_POINTS = 4
 
@@ -97,40 +101,39 @@ def _rows_fn(distance):
     return fallback
 
 
-class _LiveRows:
-    """Row source over rows(x, C): distances from live point k to every live
-    point, with drop(settled) removing the points where the mask is True."""
-
-    def __init__(self, rows, C: np.ndarray):
-        self._rows, self._C = rows, C
-
-    def __call__(self, k: int) -> np.ndarray:
-        return self._rows(self._C[k], self._C)
-
-    def drop(self, settled: np.ndarray) -> None:
-        self._C = self._C[~settled]
+def _walk(distance, C: np.ndarray):
+    """The array a traversal of the substrate C walks, and its rows function."""
+    feature_rows = getattr(distance, "feature_rows", None)
+    if feature_rows is not None:
+        return feature_rows(C)
+    return C.copy(), _rows_fn(distance)
 
 
-def _row_source(distance, C: np.ndarray):
-    substrate_rows = getattr(distance, "substrate_rows", None)
-    if substrate_rows is not None:
-        return substrate_rows(C)
-    return _LiveRows(_rows_fn(distance), C)
+def _compact(X: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Move the rows X[keep] (keep ascending) to the front of X, in place."""
+    # keep[i] >= i, so a forward copy in blocks never reads a row it has
+    # already overwritten
+    for start in range(0, keep.size, _BLOCK):
+        block = keep[start:start + _BLOCK]
+        X[start:start + block.size] = X[block]
+    return X[:keep.size]
 
 
-def _farthest_point_order(rows, stop_radius: float):
+def _farthest_point_order(X: np.ndarray, rows, stop_radius: float):
     """Insertion order and radii until the next insertion would be <= stop_radius.
 
-    rows is a row source over the substrate (see _row_source); its rows may
-    share a buffer that the next call overwrites. Settled points (nearest-
-    center distance <= stop_radius) leave the live set once they are half
-    of it. The live set stays in substrate order, so argmax ties still go
-    to the lowest substrate index. Also returns the largest nearest-center
+    X holds one row per substrate point and is overwritten: settled points
+    (nearest-center distance <= stop_radius) are compacted out of it once
+    they are half of the live set. The live rows stay in substrate order,
+    so argmax ties still go to the lowest substrate index. A center's own
+    distance is set to 0, not left at the rounding residue of its row, so
+    no center is inserted again. Also returns the largest nearest-center
     distance recorded, each point's as of its last update, and the number
     of distance entries computed. A nan distance raises ValueError, since
     no radius would ever stop the traversal.
     """
-    dmin = rows(0).copy()
+    dmin = rows(X[0], X)
+    dmin[0] = 0.0
     live = np.arange(dmin.size)
     order = [0]
     radii = [math.inf]
@@ -141,11 +144,11 @@ def _farthest_point_order(rows, stop_radius: float):
         dropped = int(np.count_nonzero(settled))
         if 2 * dropped >= dmin.size:
             covered = max(covered, float(dmin[settled].max()))
-            keep = ~settled
+            keep = np.flatnonzero(~settled)
             live, dmin = live[keep], dmin[keep]
             if not dmin.size:
                 break
-            rows.drop(settled)
+            X = _compact(X, keep)
         k = int(np.argmax(dmin))
         r = float(dmin[k])
         if r <= stop_radius:
@@ -155,7 +158,8 @@ def _farthest_point_order(rows, stop_radius: float):
             raise ValueError(f"distance to substrate point {live[k]} is nan")
         order.append(int(live[k]))
         radii.append(r)
-        np.minimum(dmin, rows(k), out=dmin)
+        np.minimum(dmin, rows(X[k], X), out=dmin)
+        dmin[k] = 0.0
         entries += dmin.size
     return order, radii, covered, entries
 
@@ -174,7 +178,7 @@ def greedy_net(points, distance, epsilon: float) -> Net:
     if not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     C = np.stack([p.coords for p in points])
-    order, _, covered, _ = _farthest_point_order(_row_source(distance, C), epsilon)
+    order, _, covered, _ = _farthest_point_order(*_walk(distance, C), epsilon)
     return Net(centers=[points[i] for i in order], radius=epsilon, covered_check=covered)
 
 
@@ -195,15 +199,17 @@ def covering_curve(substrate, distance, epsilon_list) -> CoveringCurve:
     if len(substrate) == 0:
         raise ValueError("substrate is empty")
     C = np.stack([p.coords for p in substrate])
-    order, radii, _, row_entries = _farthest_point_order(_row_source(distance, C),
-                                                          min(eps))
+    order, radii, covered, row_entries = _farthest_point_order(*_walk(distance, C),
+                                                                min(eps))
     inserted = np.array(radii[1:])
     entries = tuple((e, 1 + int((inserted > e).sum())) for e in eps)
-    rows = _rows_fn(distance)
-    probe = order[:_DIAM_PROBE]
-    diam = 0.0
-    for i in probe:
-        diam = max(diam, float(rows(C[i], C[probe]).max()))
+    if len(order) == 1:
+        # one center leaves no pair to probe; covered is then its row's maximum
+        diam = covered
+    else:
+        rows = _rows_fn(distance)
+        probe = order[:_DIAM_PROBE]
+        diam = max(float(rows(C[i], C[probe]).max()) for i in probe)
     return CoveringCurve(entries=entries, distance_id=_distance_id(distance),
                          diameter=diam, row_entries=row_entries)
 

@@ -2,7 +2,7 @@
 
 Legendre polynomials, fully normalized associated Legendre values, and
 the radial kernel profiles Lambda_n with Lambda_n(0) = 1.
-All functions are pure and accept scalars; legendre_p,
+All functions are pure and accept scalars; legendre_weighted_sum,
 assoc_legendre_normalized and radial_profile also broadcast over ndarrays.
 """
 
@@ -13,7 +13,6 @@ import math
 import numpy as np
 
 __all__ = [
-    "legendre_p",
     "legendre_weighted_sum",
     "assoc_legendre_upward",
     "assoc_legendre_normalized",
@@ -28,18 +27,6 @@ def _check_t(t):
     if not np.all(np.isfinite(arr)) or np.any(arr < -1.0) or np.any(arr > 1.0):
         raise ValueError("argument must lie in [-1, 1]")
     return arr
-
-
-def legendre_p(l: int, t):
-    """Legendre polynomial P_l(t): legendre_weighted_sum with one unit weight.
-
-    t may be a scalar or an ndarray in [-1, 1].
-    """
-    if l != int(l) or l < 0:
-        raise ValueError(f"degree must be a nonnegative integer, got {l}")
-    weights = np.zeros(int(l) + 1)
-    weights[-1] = 1.0
-    return legendre_weighted_sum(weights, t)
 
 
 def legendre_weighted_sum(weights, t):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .manifold import FLAT_TORUS, SPHERE2, ManifoldModel, weyl_constants
+from .manifold import FLAT_TORUS, SPHERE2, ManifoldModel
 
 __all__ = [
     "Mode",
@@ -21,7 +21,6 @@ __all__ = [
     "band_terms",
     "enumerate_band",
     "eigenvalue_count",
-    "weyl_count_deviation",
     "mean_frequency",
 ]
 
@@ -164,14 +163,6 @@ def eigenvalue_count(model: ManifoldModel, lam: float) -> int:
         l = _sphere_degree_ceiling(lam)
         return l * (l + 2)
     return len(_torus_lattice(model, 0.0, lam))
-
-
-def weyl_count_deviation(model: ManifoldModel, lam: float) -> float:
-    """N(lam) / (alpha_n vol lam^n) - 1."""
-    if not (lam > 0):
-        raise ValueError(f"lambda must be > 0, got {lam}")
-    alpha = weyl_constants(model).alpha_n
-    return eigenvalue_count(model, lam) / (alpha * model.volume * lam ** model.dim) - 1.0
 
 
 def mean_frequency(band: Band) -> float:

@@ -101,7 +101,6 @@ def test_embed_norm_is_constant():
         target = math.sqrt(emb.band.m_lambda / model.volume) / emb.band.k_lambda
         X, _ = _pairs(model, 6, 51)
         for x in X:
-            assert em.embed_norm(emb, x) == pytest.approx(target, rel=1e-12)
             assert np.linalg.norm(em.phi(emb, x)) == pytest.approx(target, rel=1e-12)
 
 
@@ -119,40 +118,15 @@ def test_canonical_distance_rows():
         paired = dist.rows(np.stack([p.coords for p in X]), C)
         for x, y, got in zip(X, Y, paired):
             assert got == pytest.approx(em.dist_lambda(emb, x, y), abs=1e-12)
-        row = dist.substrate_rows(C)
-        F = bs.mode_matrix(model, emb.band.modes, C)
+        F, row = dist.feature_rows(C)
+        assert np.array_equal(F, bs.mode_matrix(model, emb.band.modes, C))
         for j in (0, 7):
             # compared squared: the square root magnifies rounding near zero
-            assert np.allclose(row(j) ** 2, dist.rows(C[j], C) ** 2, rtol=0, atol=1e-12)
-            # the in-place row rounds as the kernel-to-distance map does
-            assert np.array_equal(row(j), em._dist_from_kernels(dist._diag, dist._diag,
-                                                                F @ F[j], dist._k))
-
-
-def test_substrate_rows_drop_compacts_in_place():
-    # each drop leaves Phi's kept rows in order, and later rows cover only them
-    import tracemalloc
-
-    emb = em.make_embedding(SPHERE, 40.0)
-    dist = em.CanonicalDistance(emb)
-    C = mf.uniform_sample_rows(SPHERE, np.random.default_rng(83), 5000)
-    full = bs.mode_matrix(SPHERE, emb.band.modes, C)
-    rows = dist.substrate_rows(C)
-    live = np.arange(len(C))
-    rng = np.random.default_rng(84)
-    for share in (0.3, 0.6, 0.5):
-        settled = rng.random(live.size) < share
-        tracemalloc.start()
-        rows.drop(settled)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        # compacted in blocks, not gathered into a second Phi
-        assert peak < full.nbytes / 4
-        live = live[~settled]
-        assert np.array_equal(rows._F, full[live])
-        for k in (0, live.size // 2, live.size - 1):
-            want = dist.rows(C[live[k]], C[live])
-            assert np.allclose(rows(k) ** 2, want ** 2, rtol=0, atol=1e-12)
+            assert np.allclose(row(F[j], F) ** 2, dist.rows(C[j], C) ** 2, rtol=0,
+                               atol=1e-12)
+            # the feature row rounds as the kernel-to-distance map does
+            assert np.array_equal(row(F[j], F), em._dist_from_kernels(
+                dist._diag, dist._diag, F @ F[j], dist._k))
 
 
 @pytest.mark.parametrize("model,lam", [(SPHERE, 9.0), (SPHERE, 60.0), (TORUS, 5.0)])

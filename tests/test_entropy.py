@@ -128,7 +128,7 @@ def test_covering_curve_validation():
 
 
 class _KernelRows:
-    """A distance's rows(x, C) route alone, without its substrate rows."""
+    """A distance's rows(x, C) route alone, without its feature rows."""
 
     def __init__(self, distance):
         self.name = distance.name
@@ -162,8 +162,8 @@ def test_substrate_rows_match_kernel_rows(model, lam, fractions):
     dist = em.CanonicalDistance(emb)
     ref = _KernelRows(dist)
     eps = [f * em.diameter_estimate(emb, 4000) for f in fractions]
-    order, radii, _, _ = en._farthest_point_order(en._row_source(dist, C), eps[-1])
-    ref_order, ref_radii, _, _ = en._farthest_point_order(en._row_source(ref, C), eps[-1])
+    order, radii, _, _ = en._farthest_point_order(*en._walk(dist, C), eps[-1])
+    ref_order, ref_radii, _, _ = en._farthest_point_order(*en._walk(ref, C), eps[-1])
     assert len(order) > 50
     assert order == ref_order
     assert np.allclose(radii[1:], ref_radii[1:], rtol=0, atol=1e-12)
@@ -231,7 +231,7 @@ def test_live_set_traversal_matches_full_substrate(kind, model, lam, count, frac
     reach = float(full_rows(C)(0).max())
     for eps in (f * reach for f in fractions):
         order, radii, covered, row_entries = en._farthest_point_order(
-            en._row_source(distance, C), eps)
+            *en._walk(distance, C), eps)
         ref_order, ref_radii, ref_covered = _full_substrate_order(full_rows(C), eps)
         assert len(order) > 10
         assert order == ref_order
@@ -251,7 +251,7 @@ def test_live_set_empties_on_degenerate_substrates(kind, model):
     for pts, eps in (([grid[3]], 0.1), ([grid[5]] * 7, 0.1), (grid, 100.0)):
         C = np.stack([p.coords for p in pts])
         order, radii, covered, row_entries = en._farthest_point_order(
-            en._row_source(distance, C), eps)
+            *en._walk(distance, C), eps)
         assert order == [0] and radii == [math.inf]
         assert 0.0 <= covered <= eps
         assert row_entries == len(pts)
@@ -275,6 +275,72 @@ def test_covered_check_bounds_covering_radius(model, lam):
             # compared squared: the square root magnifies rounding near zero
             assert nearest.max() ** 2 <= net.covered_check ** 2 + 1e-12
             assert net.covered_check <= eps
+
+
+def test_feature_traversal_compacts_in_place():
+    # settled rows leave Phi by a block copy in place, not a second Phi
+    import tracemalloc
+
+    emb = em.make_embedding(SPHERE, 40.0)
+    F, rows = em.CanonicalDistance(emb).feature_rows(
+        mf.uniform_sample_rows(SPHERE, np.random.default_rng(83), 5000))
+    eps = 0.6 * float(rows(F[0], F).max())
+    full = F.copy()
+    ref_order, ref_radii, _ = _full_substrate_order(lambda j: rows(full[j], full), eps)
+    tracemalloc.start()
+    order, radii, _, row_entries = en._farthest_point_order(F, rows, eps)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < F.nbytes / 4
+    assert order == ref_order
+    assert np.allclose(radii[1:], ref_radii[1:], rtol=0, atol=1e-15)
+    # the live set did shrink
+    assert len(F) <= row_entries < len(F) * len(order)
+
+
+def test_covering_curve_walks_a_copy_of_the_coordinates():
+    # compacting the coordinates the diameter probe reads would move its rows
+    pts = _jittered_grid(SPHERE, 2000, 41)
+    before = np.stack([p.coords for p in pts])
+    dg = mf.GeodesicDistance(SPHERE)
+    eps = 0.1
+    curve = en.covering_curve(pts, dg, [eps])
+    assert np.array_equal(np.stack([p.coords for p in pts]), before)
+    centers = en.greedy_net(pts, dg, eps).centers
+    assert curve.row_entries < len(pts) * len(centers)
+    probe = np.stack([c.coords for c in centers[:64]])
+    assert curve.diameter == max(float(dg.rows(c, probe).max()) for c in probe)
+
+
+def test_center_is_never_inserted_again():
+    # a center's distance to itself is a rounding residue of about 1e-8 on the
+    # feature and geodesic routes; a traversal that kept it would insert the
+    # same centers forever below it
+    src = str(Path(eigenband.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("from eigenband import embed, entropy, manifold\n"
+            "s = manifold.sphere2()\n"
+            "pts = manifold.quasi_uniform_grid(s, 30)\n"
+            "for d in (embed.CanonicalDistance(embed.make_embedding(s, 9.0)),\n"
+            "          manifold.GeodesicDistance(s)):\n"
+            "    print(len(entropy.greedy_net(pts, d, 1e-12).centers),\n"
+            "          entropy.covering_curve(pts, d, [1e-12]).entries[0][1])\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.split() == ["30"] * 4
+
+
+@pytest.mark.parametrize("kind", ["feature", "geodesic"])
+def test_one_insertion_curve_has_a_diameter(kind):
+    # one center leaves no pair to probe: the diameter is its row's maximum
+    distance, full_rows = _route(kind, SPHERE, 9.0)
+    pts = mf.quasi_uniform_grid(SPHERE, 30)
+    C = np.stack([p.coords for p in pts])
+    reach = float(full_rows(C)(0).max())
+    curve = en.covering_curve(pts, distance, [5.0])
+    assert curve.entries == ((5.0, 1),)
+    assert curve.diameter == reach > 0
+    assert en.dudley_report(curve).half_diameter == reach / 2
 
 
 def test_dimension_recovery_geodesic():

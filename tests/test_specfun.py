@@ -8,38 +8,45 @@ from scipy.special import eval_legendre, j0
 from eigenband import specfun as sf
 
 
+def _legendre(l, t):
+    """P_l(t): legendre_weighted_sum with one unit weight."""
+    weights = np.zeros(l + 1)
+    weights[l] = 1.0
+    return sf.legendre_weighted_sum(weights, t)
+
+
 def test_legendre_values_frozen():
     # sympy Rodrigues formula oracles
-    assert sf.legendre_p(5, 0.3) == pytest.approx(0.34538625, abs=1e-14)
-    assert sf.legendre_p(8, -0.62) == pytest.approx(0.256824319600567, abs=1e-13)
-    assert sf.legendre_p(0, 0.7) == 1.0
-    assert sf.legendre_p(1, -0.4) == -0.4
+    assert _legendre(5, 0.3) == pytest.approx(0.34538625, abs=1e-14)
+    assert _legendre(8, -0.62) == pytest.approx(0.256824319600567, abs=1e-13)
+    assert _legendre(0, 0.7) == 1.0
+    assert _legendre(1, -0.4) == -0.4
 
 
 @given(st.integers(min_value=0, max_value=60),
        st.floats(min_value=-1.0, max_value=1.0))
 def test_legendre_matches_scipy(l, t):
-    assert sf.legendre_p(l, t) == pytest.approx(float(eval_legendre(l, t)), abs=1e-11)
+    assert _legendre(l, t) == pytest.approx(float(eval_legendre(l, t)), abs=1e-11)
 
 
 def test_legendre_endpoints():
     for l in (0, 1, 2, 7, 40):
-        assert sf.legendre_p(l, 1.0) == pytest.approx(1.0, abs=1e-13)
-        assert sf.legendre_p(l, -1.0) == pytest.approx((-1.0) ** l, abs=1e-13)
+        assert _legendre(l, 1.0) == pytest.approx(1.0, abs=1e-13)
+        assert _legendre(l, -1.0) == pytest.approx((-1.0) ** l, abs=1e-13)
 
 
 def test_legendre_array_input():
     t = np.linspace(-1, 1, 17)
-    vals = sf.legendre_p(6, t)
+    vals = _legendre(6, t)
     assert vals.shape == t.shape
-    assert vals[0] == pytest.approx(sf.legendre_p(6, -1.0))
+    assert vals[0] == pytest.approx(_legendre(6, -1.0))
 
 
 def test_legendre_weighted_sum_matches_direct():
     rng = np.random.default_rng(5)
     w = rng.standard_normal(25)
     t = np.linspace(-1, 1, 31)
-    direct = sum(w[l] * sf.legendre_p(l, t) for l in range(25))
+    direct = sum(w[l] * _legendre(l, t) for l in range(25))
     assert np.max(np.abs(sf.legendre_weighted_sum(w, t) - direct)) < 1e-12
 
 
@@ -63,7 +70,7 @@ def test_assoc_legendre_m0_reduces_to_legendre():
     for l in (0, 3, 11):
         scale = math.sqrt((2 * l + 1) / (4 * math.pi))
         assert np.allclose(sf.assoc_legendre_normalized(l, 0, t),
-                           scale * sf.legendre_p(l, t), atol=1e-13)
+                           scale * _legendre(l, t), atol=1e-13)
 
 
 def test_assoc_legendre_norm_integral():

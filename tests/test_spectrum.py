@@ -174,8 +174,13 @@ def test_band_dimension_positive_and_windowed(lam):
 
 
 def test_weyl_deviation_shrinks():
-    d20 = abs(sp.weyl_count_deviation(SPHERE, 20.0))
-    d80 = abs(sp.weyl_count_deviation(SPHERE, 80.0))
+    # N(lam) against the Weyl term alpha_2 vol lam^2, alpha_2 = 1/(4 pi)
+    def deviation(lam):
+        return sp.eigenvalue_count(SPHERE, lam) / (SPHERE.volume * lam ** 2
+                                                   / (4.0 * math.pi)) - 1.0
+
+    d20 = abs(deviation(20.0))
+    d80 = abs(deviation(80.0))
     assert d80 < d20 < 0.1
 
 
