@@ -213,7 +213,11 @@ def torus_grid_values(model: ManifoldModel, modes, A: np.ndarray, counts) -> np.
     values are one real inverse FFT of the Hermitian lattice with those halves
     at k and -k mod counts, exact for any counts. Only the half below
     counts[-1] // 2 + 1 on the last axis is built; both halves can land on
-    its zero and Nyquist planes, where they are summed.
+    its zero and Nyquist planes, where they are summed. Every site of that
+    half lies in the columns up to the band's largest |k| on the last axis,
+    so the complex inverse FFTs over the other axes run on those columns
+    alone: the rest are zeros, whose transform is zeros, and the values equal
+    the full half lattice's bit for bit.
     """
     counts = tuple(counts)
     size = math.prod(counts)
@@ -227,9 +231,10 @@ def torus_grid_values(model: ManifoldModel, modes, A: np.ndarray, counts) -> np.
     np.add.at(lattice.reshape(len(lattice), -1),
               (slice(None), np.ravel_multi_index(tuple(sites[keep].T), half)),
               np.concatenate([C, C.conj()], axis=1)[:, keep])
-    # irfftn's own steps, with the complex ones in place
+    # irfftn's own steps, with the complex ones in place on the used columns
+    used = lattice[..., :int(np.abs(K[:, -1]).max(initial=0)) + 1]
     for axis in range(1, len(counts)):
-        np.fft.ifft(lattice, axis=axis, out=lattice)
+        np.fft.ifft(used, axis=axis, out=used)
     V = np.fft.irfft(lattice, n=counts[-1], axis=-1).reshape(-1, size)
     return np.multiply(V, size * math.sqrt(2.0 / model.volume), out=V)
 

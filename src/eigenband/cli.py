@@ -261,6 +261,7 @@ def _run_supnorm(cfg: ExperimentConfig):
                                   "sup_bound_general": bound.general,
                                   "sup_bound_aperiodic": bound.aperiodic,
                                   "level_peaks": list(est.level_peaks),
+                                  "level_sizes": list(est.level_sizes),
                                   "refine_gain": est.refine_gain}
         flags[f"below_sup_bound_lam{lam:g}"] = bool(est.mean <= bound.general)
     header = ("model", "lam", "mean_sup", "std_error", "samples", "grid_points",
@@ -304,6 +305,7 @@ def _run_dudley(cfg: ExperimentConfig):
                "mean_sup_abs": absolute.mean, "se_abs": absolute.std_error,
                "abs_limit": abs_limit,
                "sup_bound_general": bound.general,
+               "level_sizes": list(signed.level_sizes),
                "level_peaks_signed": list(signed.level_peaks),
                "refine_gain_signed": signed.refine_gain,
                "level_peaks_abs": list(absolute.level_peaks),

@@ -21,7 +21,14 @@ column of the level's real (rings x (l + 1)) table of normalized Legendre
 values, times the cos coefficient and times minus the sin coefficient, gives
 the real and imaginary parts of its azimuthal spectrum at m, and one
 row-wise irfft gives the level exactly. No level keeps its grid: a wave's
-peak node is computed from its argmax index.
+peak node is computed from its flat index.
+
+One scan of a level records each wave's max and min with their flat
+indices, and both statistics take their grid peaks from it: sup wave is
+the max, sup |wave| the extremum of larger magnitude (the lower index on a
+tie, as np.abs(V).argmax() would pick). A level object keeps the extrema of
+the last coefficient matrix it scanned, keyed on that matrix's exact shape
+and contents, so a second statistic of the same waves scans no grid again.
 """
 
 from __future__ import annotations
@@ -68,6 +75,8 @@ class SupNormEstimate:
     level_peaks: tuple[float, ...]
     # mean over the waves of the refined sup minus the best grid peak
     refine_gain: float
+    # grid points of each ladder level, coarsest first; they sum to grid_points
+    level_sizes: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -133,7 +142,8 @@ class _SupLevels:
     Torus levels place the coefficients on the frequency lattice; sphere
     levels hold one real (rings x (l + 1)) table of the band's single degree
     l, as the module docstring says. Either way a level's values are one
-    inverse FFT per block.
+    inverse FFT per block. The object keeps each level's extrema (four
+    numbers per wave, no level values) for the last matrix it scanned.
     """
 
     def __init__(self, band: Band, density: float):
@@ -159,6 +169,7 @@ class _SupLevels:
                            for s in self.spacings]
             self.sizes = [math.prod(c) for c in self.shapes]
         self.grid_points = sum(self.sizes)
+        self._scanned = (None, None)
 
     def nodes(self, li: int, index) -> np.ndarray:
         """Coordinates of level li's grid nodes at the flat C-order index;
@@ -180,18 +191,29 @@ class _SupLevels:
             return np.fft.irfft(spec, n=2 * rings, axis=2).reshape(-1, self.sizes[li])
         return bs.torus_grid_values(self.model, self.band.modes, Ab, shape)
 
-    def _level_peaks(self, li: int, A: np.ndarray, use_abs: bool):
+    def _level_extrema(self, li: int, A: np.ndarray):
+        """Flat index (2 x waves) and value (2 x waves) of each wave's max
+        (row 0) and min (row 1) on level li."""
         n_waves = A.shape[1]
-        vals = np.empty(n_waves)
-        at = np.empty(n_waves, dtype=np.intp)
+        at = np.empty((2, n_waves), dtype=np.intp)
+        vals = np.empty((2, n_waves))
         block = max(1, _CHUNK // self.sizes[li])
         for b in range(0, n_waves, block):
             V = self._level_values(li, A[:, b:b + block])
-            if use_abs:
-                np.abs(V, out=V)
-            at[b:b + block] = V.argmax(axis=1)
-            vals[b:b + block] = V[np.arange(len(V)), at[b:b + block]]
-        return vals, self.nodes(li, at)
+            rows = np.arange(len(V))
+            for i, arg in enumerate((V.argmax, V.argmin)):
+                at[i, b:b + block] = arg(axis=1)
+                vals[i, b:b + block] = V[rows, at[i, b:b + block]]
+        return at, vals
+
+    def _scan(self, A: np.ndarray) -> list:
+        """Every level's extrema for the columns of A, from the last scan
+        when A has its exact shape, dtype and bytes."""
+        key = (A.shape, A.dtype.str, A.tobytes())
+        if self._scanned[0] != key:
+            self._scanned = key, [self._level_extrema(li, A)
+                                  for li in range(len(self.sizes))]
+        return self._scanned[1]
 
     def _values_at(self, P: np.ndarray, V: np.ndarray, A: np.ndarray,
                    use_abs: bool) -> np.ndarray:
@@ -226,9 +248,22 @@ class _SupLevels:
 
     def batch_sups(self, A: np.ndarray, use_abs: bool = True):
         """Sups for the coefficient columns of A, and each level's grid peaks
-        (levels x waves); scan and refinement batched over the waves."""
-        peaks, points = zip(*(self._level_peaks(li, A, use_abs)
-                              for li in range(len(self.sizes))))
+        (levels x waves); scan and refinement batched over the waves.
+
+        The grid peak is the max, or with use_abs the extremum of larger
+        magnitude, the lower flat index on a tie. The level scan is reused
+        when A equals the last scanned matrix; the refinement always runs.
+        """
+        cols = np.arange(A.shape[1])
+        peaks, points = [], []
+        for li, (at, vals) in enumerate(self._scan(A)):
+            row = 0
+            if use_abs:
+                vals = np.abs(vals)
+                row = ((vals[1] > vals[0])
+                       | ((vals[1] == vals[0]) & (at[1] < at[0]))).astype(np.intp)
+            peaks.append(vals[row, cols])
+            points.append(self.nodes(li, at[row, cols]))
         sups = np.max(peaks, axis=0)
         for P, f0, h in zip(points, peaks, self.spacings):
             np.maximum(sups, self._refined(P, f0, h, A, use_abs), out=sups)
@@ -270,7 +305,9 @@ def expected_sup(model: ManifoldModel, lam: float, n_samples: int,
     E sup wave without the absolute value. Waves are keyed by sample index,
     and the reduction runs in index order. workers is accepted for
     compatibility and has no effect: every wave is scanned and refined in
-    this thread.
+    this thread. A call on the same waves as the last call with this band
+    and density (same seed and n_samples, either statistic) reuses that
+    call's level scan and runs only its own refinement.
     """
     if n_samples < 2:
         raise ValueError(f"need n_samples >= 2, got {n_samples}")
@@ -287,4 +324,5 @@ def expected_sup(model: ManifoldModel, lam: float, n_samples: int,
                            std_error=float(sups.std(ddof=1) / math.sqrt(n_samples)),
                            samples=n_samples, grid_points=levels.grid_points, lam=lam,
                            level_peaks=tuple(float(v) for v in peaks.mean(axis=1)),
-                           refine_gain=float((sups - peaks.max(axis=0)).mean()))
+                           refine_gain=float((sups - peaks.max(axis=0)).mean()),
+                           level_sizes=tuple(levels.sizes))

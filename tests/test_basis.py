@@ -164,6 +164,26 @@ def test_torus_values_by_formula():
         assert np.allclose(V[:, j], ref, atol=1e-13)
 
 
+def _full_half_lattice_values(model, modes, A, counts):
+    """torus_grid_values with the complex inverse FFTs over every column of
+    the Hermitian half lattice, not only the band's."""
+    size = math.prod(counts)
+    half = (*counts[:-1], counts[-1] // 2 + 1)
+    labels = [mode.label for mode in modes]
+    K = np.array([k for k, _ in labels], dtype=np.intp).reshape(-1, len(counts))
+    sites = np.concatenate([K, -K]) % np.array(counts)
+    C = A.T * np.array([0.5 if flavor == "cos" else -0.5j for _, flavor in labels])
+    keep = sites[:, -1] < half[-1]
+    lattice = np.zeros((A.shape[1], *half), dtype=complex)
+    np.add.at(lattice.reshape(len(lattice), -1),
+              (slice(None), np.ravel_multi_index(tuple(sites[keep].T), half)),
+              np.concatenate([C, C.conj()], axis=1)[:, keep])
+    for axis in range(1, len(counts)):
+        np.fft.ifft(lattice, axis=axis, out=lattice)
+    V = np.fft.irfft(lattice, n=counts[-1], axis=-1).reshape(-1, size)
+    return np.multiply(V, size * math.sqrt(2.0 / model.volume), out=V)
+
+
 @pytest.mark.parametrize("sides,lam,counts", [
     ((2.0 * math.pi,), 30.0, (97,)),
     ((2.0 * math.pi, 2.0 * math.pi), 12.0, (40, 40)),
@@ -188,6 +208,8 @@ def test_torus_grid_values_match_mode_matrix(sides, lam, counts):
     V = bs.torus_grid_values(model, band.modes, A, counts)
     assert V.shape == (3, math.prod(counts))
     assert np.allclose(V, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+    # transforming only the band's last-axis columns changes no bit
+    assert np.array_equal(V, _full_half_lattice_values(model, band.modes, A, counts))
 
 
 def test_torus_grid_values_empty_modes():
@@ -197,6 +219,7 @@ def test_torus_grid_values_empty_modes():
     V = bs.torus_grid_values(model, [], A, (4, 5))
     assert V.shape == (3, 20)
     assert np.array_equal(V, ref)
+    assert np.array_equal(V, _full_half_lattice_values(model, [], A, (4, 5)))
 
 
 def _fd_gradient(model, modes, x, h=1e-6):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -244,15 +245,22 @@ def test_level_nodes_match_grids(model, lam):
 
 def test_torus_levels_keep_no_grids():
     band = sp.enumerate_band(TORUS, 40.0)
+    A = np.stack([wv.sample_wave(band, 8, i).coefficients for i in range(12)], axis=1)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         levels = wv._SupLevels(band, 10.0)
         kept = tracemalloc.get_traced_memory()[0] - before
+        # the scan's extrema stay, four numbers per wave and level
+        levels.batch_sups(A)
+        kept_after_scan = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert levels.grid_points > 400_000
     assert kept < 1 << 20
+    assert kept_after_scan < 1 << 20
+    for at, vals in levels._scanned[1]:
+        assert at.shape == vals.shape == (2, 12)
 
 
 def test_sphere_levels_keep_real_tables():
@@ -304,6 +312,8 @@ def test_sphere_ring_scan_equals_complex_table_route(lam, use_abs, monkeypatch):
     # two waves per block on the top level
     monkeypatch.setattr(wv, "_CHUNK", 2 * max(levels.sizes))
     sups, peaks = levels.batch_sups(A, use_abs)
+    # a fresh level object, so that the scan of A is not reused
+    levels = wv._SupLevels(band, 10.0)
     monkeypatch.setattr(levels, "_level_values", _complex_table_values(levels))
     want_sups, want_peaks = levels.batch_sups(A, use_abs)
     assert np.array_equal(sups, want_sups)
@@ -325,9 +335,10 @@ def _wave_blocks_do_not_change_sups(model, lam, monkeypatch):
     largest = max(levels.sizes)
     monkeypatch.setattr(wv, "_CHUNK", 7 * largest)
     single, _ = levels.batch_sups(A)
-    # two waves per block on the finest level, more on the coarser ones
+    # two waves per block on the finest level, more on the coarser ones, and
+    # a fresh level object, so that the scan of A is not reused
     monkeypatch.setattr(wv, "_CHUNK", 2 * largest)
-    blocked, _ = levels.batch_sups(A)
+    blocked, _ = wv._SupLevels(band, 8.0).batch_sups(A)
     assert np.array_equal(blocked, single)
 
 
@@ -344,5 +355,87 @@ def test_expected_sup_ladder_telemetry():
         est = wv.expected_sup(model, 12.0, 8, 10.0, seed=2)
         # densities 4, 8 and 16
         assert len(est.level_peaks) == 3
+        assert sum(est.level_sizes) == est.grid_points
         assert 0.0 <= est.refine_gain
         assert max(est.level_peaks) + est.refine_gain <= est.mean + 1e-12
+
+
+def _cold_sup(model, lam, n_samples, seed, statistic):
+    wv._LEVEL_CACHE.clear()
+    return wv.expected_sup(model, lam, n_samples, 6.0, seed=seed, statistic=statistic)
+
+
+def _counting_level_values(monkeypatch):
+    # counts the level scans of every later call
+    calls = []
+    scan = wv._SupLevels._level_values
+
+    def counted(self, li, Ab):
+        calls.append(li)
+        return scan(self, li, Ab)
+
+    monkeypatch.setattr(wv._SupLevels, "_level_values", counted)
+    return calls
+
+
+@pytest.mark.parametrize("model,lam", [(SPHERE, 12.0), (TORUS, 9.0)])
+@pytest.mark.parametrize("first,second", [("max", "abs"), ("abs", "max")])
+def test_second_statistic_reuses_the_level_scan(model, lam, first, second, monkeypatch):
+    cold = [_cold_sup(model, lam, 8, 5, stat) for stat in (first, second)]
+    scans = _counting_level_values(monkeypatch)
+    wv._LEVEL_CACHE.clear()
+    warm, scanned = [], []
+    for stat in (first, second):
+        del scans[:]
+        warm.append(wv.expected_sup(model, lam, 8, 6.0, seed=5, statistic=stat))
+        scanned.append(len(scans))
+    assert scanned == [2, 0]
+    for got, want in zip(warm, cold):
+        assert dataclasses.asdict(got) == dataclasses.asdict(want)
+    assert warm[0].level_sizes == warm[1].level_sizes
+
+
+@pytest.mark.parametrize("model,lam", [(SPHERE, 12.0), (TORUS, 9.0)])
+def test_other_waves_are_scanned_again(model, lam, monkeypatch):
+    wave = wv.sample_wave(sp.enumerate_band(model, lam), 5, 0)
+    want = {"seed": _cold_sup(model, lam, 8, 6, "abs"),
+            "samples": _cold_sup(model, lam, 9, 5, "abs"),
+            "between": _cold_sup(model, lam, 8, 5, "abs")}
+    wv._LEVEL_CACHE.clear()
+    want_single = wv.sup_norm(wave, 6.0)
+    scans = _counting_level_values(monkeypatch)
+    wv._LEVEL_CACHE.clear()
+    got = {}
+    for key, (seed, n_samples) in {"seed": (6, 8), "samples": (5, 9)}.items():
+        wv.expected_sup(model, lam, 8, 6.0, seed=5, statistic="max")
+        del scans[:]
+        got[key] = wv.expected_sup(model, lam, n_samples, 6.0, seed=seed, statistic="abs")
+        assert len(scans) > 0
+    wv.expected_sup(model, lam, 8, 6.0, seed=5, statistic="max")
+    assert wv.sup_norm(wave, 6.0) == want_single
+    del scans[:]
+    got["between"] = wv.expected_sup(model, lam, 8, 6.0, seed=5, statistic="abs")
+    assert len(scans) > 0
+    for key, est in got.items():
+        assert dataclasses.asdict(est) == dataclasses.asdict(want[key])
+
+
+@pytest.mark.parametrize("coefficient", [0.7, -0.7])
+def test_abs_peak_tie_takes_the_lower_index(coefficient, monkeypatch):
+    # one sin mode whose grid max is exactly minus its min: the |wave| peak
+    # is where np.abs(V).argmax() puts it, at the max or at the min
+    band = sp.enumerate_band(TORUS, 5.0)
+    A = np.zeros((band.m_lambda, 1))
+    A[[m.label for m in band.modes].index(((0, 6), "sin"))] = coefficient
+    levels = wv._SupLevels(band, 4.0)
+    V = levels._level_values(0, A)[0]
+    assert V.max() == -V.min()
+    peaks = []
+    nodes = levels.nodes
+    monkeypatch.setattr(levels, "nodes", lambda li, index: peaks.append(index) or
+                        nodes(li, index))
+    _, level_peaks = levels.batch_sups(A, use_abs=True)
+    assert peaks[0][0] == np.abs(V).argmax() == min(V.argmax(), V.argmin())
+    assert level_peaks[0, 0] == np.abs(V).max()
+    levels.batch_sups(A, use_abs=False)
+    assert peaks[1][0] == V.argmax()
