@@ -13,17 +13,19 @@ into a temporary directory that is deleted afterwards). A seed is one pair,
 and the side that runs first alternates from seed to seed. A run that exits
 non-zero or times out is recorded as one failed operation. Each side then
 makes one `--trace 1` run per workload on the first seed, for the per-layer
-metrics, and one `eigenband verify` run, for the seconds of each acceptance
+metrics, one `eigenband verify` run, for the seconds of each acceptance
 criterion (read from its JSON report: verify exits 3 while a criterion
-fails). The result is BENCH_<pr>.json at the repository root: the
-environment, every run's metrics, each side's traced metrics and criterion
-seconds and, per workload, each side's median and quartiles of every
-end-to-end metric, the number of pairs in which the change read better, and
-a verdict on the change's median against the metric's bound.
+fails), and one tier-1 run (`python -m pytest -q
+--continue-on-collection-errors` on its own sources), for its wall time and
+its counts of passed and failed tests. The result is BENCH_<pr>.json at the
+repository root: the environment, every run's metrics, each side's traced
+metrics, criterion seconds and tier-1 run and, per workload, each side's
+median and quartiles of every end-to-end metric, the number of pairs in
+which the change read better, and a verdict on the change's median against
+the metric's bound.
 
-Left out: the traced and verify runs are single runs, not paired medians,
-so they show where time went rather than prove a gain; the tier-1 wall time
-is not measured.
+Left out: the traced, verify and tier-1 runs are single runs, not paired
+medians, so they show where time went rather than prove a gain.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -139,12 +142,16 @@ def _extract(rev: str, dest: Path) -> None:
         raise SystemExit(f"bench: git archive {rev} failed")
 
 
+def _one_blas_thread(root: Path) -> dict:
+    return {**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": "1",
+            "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
 def _verify(root: Path) -> dict:
     """One `eigenband verify` run on root's sources, with one BLAS thread as
     in perfbench/run.py: the seconds and verdict of every criterion, read
     from its JSON report whatever the exit code."""
-    env = {**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": "1",
-           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    env = _one_blas_thread(root)
     with tempfile.TemporaryDirectory(prefix="bench-verify-") as out:
         try:
             proc = subprocess.run([sys.executable, "-m", "eigenband", "verify", "--out", out],
@@ -163,6 +170,29 @@ def _verify(root: Path) -> dict:
             "seconds": {k: float(v) for k, v in summary["seconds"].items()},
             "passed": summary["passed"], "total": summary["total"],
             "flags": report["flags"], "wall_clock_s": report["wall_clock_s"]}
+
+
+def parse_pytest_counts(stdout: str) -> dict:
+    """{outcome: count} from the last line of `pytest -q`, such as
+    "1 failed, 277 passed in 34.40s"."""
+    last = stdout.strip().splitlines()[-1] if stdout.strip() else ""
+    return {word: int(n) for n, word in re.findall(r"(\d+) ([a-z]+)", last.split(" in ")[0])}
+
+
+def _tier1(root: Path) -> dict:
+    """One tier-1 run on root's sources, with one BLAS thread and no pytest
+    cache: its exit code, wall time and {outcome: count}."""
+    cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+           "-p", "no:cacheprovider"]
+    t0 = time.perf_counter()
+    try:
+        proc = subprocess.run(cmd, cwd=root, env=_one_blas_thread(root), capture_output=True,
+                              text=True, timeout=3600)
+    except subprocess.TimeoutExpired:
+        print("bench: tier-1 timed out", file=sys.stderr)
+        return {"exit": None}
+    return {"exit": proc.returncode, "wall_s": time.perf_counter() - t0,
+            "counts": parse_pytest_counts(proc.stdout)}
 
 
 def _run(root: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
@@ -217,7 +247,7 @@ def main(argv=None) -> int:
                     print(f"{workload} seed {seed} {side}: {run['metrics']} "
                           f"({time.perf_counter() - t0:.0f} s)", file=sys.stderr)
         traced = {side: {} for side in roots}
-        criteria = {}
+        criteria, tier1 = {}, {}
         for side in roots:
             for workload in (w["name"] for w in spec["workloads"]):
                 traced[side][workload] = _run(roots[side], workload, seeds[0], seconds, trace=1)
@@ -225,6 +255,8 @@ def main(argv=None) -> int:
                       file=sys.stderr)
             criteria[side] = _verify(roots[side])
             print(f"verify {side}: {criteria[side].get('seconds')}", file=sys.stderr)
+            tier1[side] = _tier1(roots[side])
+            print(f"tier-1 {side}: {tier1[side]}", file=sys.stderr)
 
     report = {"pr": args.pr, "environment": environment(),
               "settings": {"command": spec["command"], "seconds": seconds,
@@ -233,7 +265,7 @@ def main(argv=None) -> int:
                             + (" + uncommitted changes" if _git("status", "--porcelain") else ""),
                             **({"parent": _git("rev-parse", args.parent)} if args.parent else {})},
               "summary": summarize(runs, spec["end_to_end"]), "runs": runs,
-              "traced": traced, "criteria": criteria}
+              "traced": traced, "criteria": criteria, "tier1": tier1}
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)

@@ -40,10 +40,17 @@ __all__ = [
     "lipschitz_scan",
     "distance_profile",
     "diameter_estimate",
+    "sphere_metric_constant",
 ]
 
 # kernel-difference step for the second-derivative route, in units of 1/lambda
 FD_STEP_SCALE = 3e-3
+# sphere cap cut table: steps over [0, pi] per unit of lambda (even), which
+# keeps the Lipschitz slack sqrt(c) h / 2 of a step near 2e-3 at every lambda
+_CUT_STEPS_PER_LAMBDA = 500
+# subtracted from every step's bound: covers the rounding of feature rows,
+# of the table's own rows and of the substrate cosines
+_CUT_ROUNDING = 1e-9
 
 
 @dataclass(frozen=True)
@@ -103,6 +110,12 @@ def _kernel(model: ManifoldModel, terms: np.ndarray, X: np.ndarray,
     phase = (Y - X) @ terms.T
     np.cos(phase, out=phase)
     return (2.0 / model.volume) * phase.sum(axis=-1)
+
+
+def _pole_kernel(embedding: Embedding, theta: np.ndarray) -> np.ndarray:
+    """Sphere kernel between the north pole and the meridian points at angles
+    theta: their cosines are cos(theta) exactly, as _kernel would take them."""
+    return legendre_weighted_sum(embedding.terms, np.cos(theta))
 
 
 def band_kernel(embedding: Embedding, x: Point, y: Point, method: str = "fast") -> float:
@@ -189,8 +202,9 @@ class CanonicalDistance:
         return _dist_from_kernels(self._diag, self._diag, exy, self._k)
 
     def feature_rows(self, C: np.ndarray):
-        """The feature matrix Phi(C) and rows(f, F), the distances from the
-        feature row f to the rows of F, for farthest-point traversal.
+        """The feature matrix Phi(C), rows(f, F), the distances from the
+        feature row f to the rows of F, and cut (_sphere_cap_cut on the
+        sphere, None on the torus), for farthest-point traversal.
 
         A row takes its kernel values from one matrix-vector product F @ f
         in place of the addition theorem.
@@ -200,7 +214,53 @@ class CanonicalDistance:
         def rows(f: np.ndarray, F: np.ndarray) -> np.ndarray:
             return _dist_from_kernels(diag, diag, F @ f, k)
 
-        return bs.mode_matrix(self.embedding.model, self.embedding.band.modes, C), rows
+        model = self.embedding.model
+        cut = _sphere_cap_cut(self.embedding) if model.kind == SPHERE2 else None
+        return bs.mode_matrix(model, self.embedding.band.modes, C), rows, cut
+
+
+def sphere_metric_constant(embedding: Embedding) -> float:
+    """The multiple c of the round metric that the sphere band pulls back:
+    sum_m |grad Y_lm|^2 = l(l+1)(2l+1)/(4 pi), shared by two tangent
+    directions and scaled by 1/k^2."""
+    w = embedding.terms
+    l = np.arange(w.size)
+    return float(w @ (l * (l + 1.0))) / (2.0 * _require_modes(embedding).k_lambda ** 2)
+
+
+def _sphere_cap_cut(embedding: Embedding):
+    """cut(r) -> None or (cos a, cos b), with a <= pi/2 <= b: every pair of
+    sphere points at an angle in [a, b] is at d_lambda >= r.
+
+    On the sphere d_lambda = f(theta) of the angle theta. f is tabulated at
+    _CUT_STEPS_PER_LAMBDA * ceil(lambda) equal steps h over [0, pi]. Since
+    |f(t1) - f(t2)| <= d_lambda(y1, y2) <= sqrt(c) |t1 - t2|, with c from
+    sphere_metric_constant, f >= (f_i + f_{i+1}) / 2 - sqrt(c) h / 2 on each
+    step; less _CUT_ROUNDING, that is the step's bound. Suffix minima of the
+    bounds over [0, pi/2] give a, prefix minima over [pi/2, pi] give b, so a
+    cut is two searchsorted calls. None when neither side holds a step.
+    """
+    band = _require_modes(embedding)
+    half = _CUT_STEPS_PER_LAMBDA // 2 * math.ceil(band.lam)
+    h = math.pi / (2 * half)
+    diag = band.m_lambda / embedding.model.volume
+    f = _dist_from_kernels(diag, diag, _pole_kernel(embedding, h * np.arange(2 * half + 1)),
+                           band.k_lambda)
+    slack = 0.5 * math.sqrt(sphere_metric_constant(embedding)) * h
+    bound = 0.5 * (f[:-1] + f[1:]) - slack - _CUT_ROUNDING
+    # nondecreasing: the bound of every step from i up to pi/2, and (reversed)
+    # of every step from pi/2 up to half + i
+    below = np.minimum.accumulate(bound[:half][::-1])[::-1]
+    above = np.minimum.accumulate(bound[half:])[::-1]
+
+    def cut(r: float):
+        a = int(below.searchsorted(r))
+        b = 2 * half - int(above.searchsorted(r))
+        if a == half == b:
+            return None
+        return math.cos(a * h), math.cos(b * h)
+
+    return cut
 
 
 # ---------------------------------------------------------------------------
@@ -338,10 +398,8 @@ def distance_profile(embedding: Embedding, r_values) -> list[ProfilePoint]:
 def _kernel_min_theta(embedding: Embedding, thetas: np.ndarray, levels: int = 6) -> float:
     """Angle of the sphere kernel's minimum: scan thetas, then zoom a
     65-point grid around the smallest value, levels times."""
-    x0 = np.array([0.0, 0.0, 1.0])
     for _ in range(levels + 1):
-        C = np.stack([np.sin(thetas), np.zeros_like(thetas), np.cos(thetas)], axis=1)
-        vals = _kernel(embedding.model, embedding.terms, x0, C)
+        vals = _pole_kernel(embedding, thetas)
         j = int(vals.argmin())
         lo = thetas[max(0, j - 1)]
         hi = thetas[min(len(thetas) - 1, j + 1)]

@@ -14,6 +14,11 @@ rows cover only the points still live. A distance that offers
 feature_rows(C) (CanonicalDistance) supplies both: its feature matrix of
 the substrate, and rows over feature vectors. Any other distance walks a
 copy of the coordinates with its rows(x, C), or is called pair by pair.
+On the sphere, feature_rows also gives a cut: the angles at which the
+distance profile stays at or above a radius. An insertion at radius r can
+only lower the distances below r, so it computes rows just for the live
+points in the cut's cap around the new center, unless those are over half
+of the live set.
 
 scipy is imported inside the two functions that need it, so importing the
 package does not load it.
@@ -43,7 +48,7 @@ __all__ = [
 
 # pairs whose max underlies the reported curve diameter
 _DIAM_PROBE = 64
-# rows moved per gather while compacting: bounds the temporary copy
+# rows per gather, when compacting or taking a cap's rows: bounds the temporary copy
 _BLOCK = 1024
 # smallest curve entries used for the tail power-law fit
 _TAIL_FIT_POINTS = 4
@@ -102,11 +107,13 @@ def _rows_fn(distance):
 
 
 def _walk(distance, C: np.ndarray):
-    """The array a traversal of the substrate C walks, and its rows function."""
+    """The array a traversal of the substrate C walks, its rows function, and
+    its cap: None, or a copy of C with the distance's cut."""
     feature_rows = getattr(distance, "feature_rows", None)
     if feature_rows is not None:
-        return feature_rows(C)
-    return C.copy(), _rows_fn(distance)
+        F, rows, cut = feature_rows(C)
+        return F, rows, None if cut is None else (C.copy(), cut)
+    return C.copy(), _rows_fn(distance), None
 
 
 def _compact(X: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -119,7 +126,7 @@ def _compact(X: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return X[:keep.size]
 
 
-def _farthest_point_order(X: np.ndarray, rows, stop_radius: float):
+def _farthest_point_order(X: np.ndarray, rows, cap, stop_radius: float):
     """Insertion order and radii until the next insertion would be <= stop_radius.
 
     X holds one row per substrate point and is overwritten: settled points
@@ -131,6 +138,14 @@ def _farthest_point_order(X: np.ndarray, rows, stop_radius: float):
     distance recorded, each point's as of its last update, and the number
     of distance entries computed. A nan distance raises ValueError, since
     no radius would ever stop the traversal.
+
+    cap is None or (U, cut): U holds the substrate's unit coordinates, row
+    for row with X, and is compacted with it; cut(r) is None or the cosines
+    (cos a, cos b) such that no two points at an angle in [a, b] are nearer
+    than r. An insertion at radius r can only lower the distances below r,
+    so it computes rows for just the live points whose cosine to the center
+    is above cos a or below cos b, gathered in blocks of _BLOCK rows. When
+    those are over half of the live points, the row covers them all.
     """
     dmin = rows(X[0], X)
     dmin[0] = 0.0
@@ -149,6 +164,8 @@ def _farthest_point_order(X: np.ndarray, rows, stop_radius: float):
             if not dmin.size:
                 break
             X = _compact(X, keep)
+            if cap is not None:
+                cap = _compact(cap[0], keep), cap[1]
         k = int(np.argmax(dmin))
         r = float(dmin[k])
         if r <= stop_radius:
@@ -158,10 +175,30 @@ def _farthest_point_order(X: np.ndarray, rows, stop_radius: float):
             raise ValueError(f"distance to substrate point {live[k]} is nan")
         order.append(int(live[k]))
         radii.append(r)
-        np.minimum(dmin, rows(X[k], X), out=dmin)
+        near = _cap_points(cap, k, r)
+        if near is None or 2 * near.size > dmin.size:
+            np.minimum(dmin, rows(X[k], X), out=dmin)
+            entries += dmin.size
+        else:
+            for start in range(0, near.size, _BLOCK):
+                block = near[start:start + _BLOCK]
+                dmin[block] = np.minimum(dmin[block], rows(X[k], X[block]))
+            entries += near.size
         dmin[k] = 0.0
-        entries += dmin.size
     return order, radii, covered, entries
+
+
+def _cap_points(cap, k: int, r: float):
+    """Indices of the rows of cap's U that an insertion of row k at radius r
+    can bring nearer than r, or None when cap or its cut gives no bound."""
+    if cap is None:
+        return None
+    U, cut = cap
+    ends = cut(r)
+    if ends is None:
+        return None
+    cosines = U @ U[k]
+    return np.flatnonzero((cosines > ends[0]) | (cosines < ends[1]))
 
 
 def greedy_net(points, distance, epsilon: float) -> Net:

@@ -118,7 +118,8 @@ def test_canonical_distance_rows():
         paired = dist.rows(np.stack([p.coords for p in X]), C)
         for x, y, got in zip(X, Y, paired):
             assert got == pytest.approx(em.dist_lambda(emb, x, y), abs=1e-12)
-        F, row = dist.feature_rows(C)
+        F, row, cut = dist.feature_rows(C)
+        assert (cut is None) == (model.kind != mf.SPHERE2)
         assert np.array_equal(F, bs.mode_matrix(model, emb.band.modes, C))
         for j in (0, 7):
             # compared squared: the square root magnifies rounding near zero
@@ -173,6 +174,16 @@ def test_pullback_metric_sphere_isotropic():
         c = float(np.trace(g)) / 2.0
         assert np.max(np.abs(g - c * np.eye(2))) / c < 1e-9
         assert 0.95 <= c / oracle <= 1.05
+
+
+@pytest.mark.parametrize("lam", [5.0, 40.0, 60.0])
+def test_sphere_metric_constant_is_the_pullback_multiple(lam):
+    emb = em.make_embedding(SPHERE, lam)
+    c = em.sphere_metric_constant(emb)
+    X, _ = _pairs(SPHERE, 3, 79)
+    for x in X:
+        g = em.pullback_metric(emb, x).matrix
+        assert np.allclose(g, c * np.eye(2), rtol=0, atol=1e-9 * c)
 
 
 def test_pullback_metric_torus_trace_identity():

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -168,7 +169,14 @@ def test_substrate_rows_match_kernel_rows(model, lam, fractions):
     assert order == ref_order
     assert np.allclose(radii[1:], ref_radii[1:], rtol=0, atol=1e-12)
     curve = en.covering_curve(pts, dist, eps)
-    assert curve == en.covering_curve(pts, ref, eps)
+    ref_curve = en.covering_curve(pts, ref, eps)
+    # the sphere's feature route computes only the rows its cap cut lets
+    # an insertion reach; the kernel rows cover every live point
+    assert replace(curve, row_entries=0) == replace(ref_curve, row_entries=0)
+    if model.kind == mf.SPHERE2:
+        assert curve.row_entries < ref_curve.row_entries
+    else:
+        assert curve.row_entries == ref_curve.row_entries
     net = en.greedy_net(pts, dist, eps[1])
     ref_net = en.greedy_net(pts, ref, eps[1])
     assert [id(c) for c in net.centers] == [id(c) for c in ref_net.centers]
@@ -282,13 +290,13 @@ def test_feature_traversal_compacts_in_place():
     import tracemalloc
 
     emb = em.make_embedding(SPHERE, 40.0)
-    F, rows = em.CanonicalDistance(emb).feature_rows(
-        mf.uniform_sample_rows(SPHERE, np.random.default_rng(83), 5000))
+    C = mf.uniform_sample_rows(SPHERE, np.random.default_rng(83), 5000)
+    F, rows, cut = em.CanonicalDistance(emb).feature_rows(C)
     eps = 0.6 * float(rows(F[0], F).max())
     full = F.copy()
     ref_order, ref_radii, _ = _full_substrate_order(lambda j: rows(full[j], full), eps)
     tracemalloc.start()
-    order, radii, _, row_entries = en._farthest_point_order(F, rows, eps)
+    order, radii, _, row_entries = en._farthest_point_order(F, rows, (C, cut), eps)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < F.nbytes / 4
@@ -296,6 +304,122 @@ def test_feature_traversal_compacts_in_place():
     assert np.allclose(radii[1:], ref_radii[1:], rtol=0, atol=1e-15)
     # the live set did shrink
     assert len(F) <= row_entries < len(F) * len(order)
+
+
+def _first_trough(f):
+    """The first local minimum of f after its first local maximum."""
+    up = int(np.argmax(np.diff(f) < 0))
+    return float(f[up + int(np.argmax(np.diff(f[up:]) > 0))])
+
+
+@pytest.mark.parametrize("lam", [5.0, 9.0, 20.0, 40.0])
+def test_sphere_cap_cut_is_sound(lam):
+    # every angle outside the cap, on a grid 16x finer than the cut table and
+    # at random pairs, is at distance >= r
+    emb = em.make_embedding(SPHERE, lam)
+    dist = em.CanonicalDistance(emb)
+    cut = em._sphere_cap_cut(emb)
+    steps = em._CUT_STEPS_PER_LAMBDA * math.ceil(lam)
+    theta = np.linspace(0.0, math.pi, 16 * steps + 1)
+    grid = np.stack([np.sin(theta), np.zeros_like(theta), np.cos(theta)], axis=1)
+    f_grid = dist.rows(np.array([0.0, 0.0, 1.0]), grid)
+    rng = np.random.default_rng(89)
+    C = mf.uniform_sample_rows(SPHERE, rng, 4000)
+    F, rows, _ = dist.feature_rows(C)
+    sampled = [(C @ C[j], rows(F[j], F)) for j in range(4)]
+    trough = _first_trough(f_grid)
+    top = float(sampled[0][1].max())
+    for r in np.linspace(top, 0.9 * trough, 300):
+        ends = cut(r)
+        if r < trough:
+            assert ends is not None
+        if ends is None:
+            continue
+        cos_a, cos_b = ends
+        for cosines, f in [(np.cos(theta), f_grid)] + sampled:
+            outside = (cosines <= cos_a) & (cosines >= cos_b)
+            assert np.all(f[outside] >= r)
+
+
+@pytest.mark.parametrize("lam,fractions", [
+    (9.0, (0.5, 0.35)),
+    (20.0, (0.75, 0.65)),
+    (40.0, (0.75, 0.65)),
+])
+def test_cap_traversal_matches_full_substrate(lam, fractions):
+    dist = em.CanonicalDistance(em.make_embedding(SPHERE, lam))
+    C = np.stack([p.coords for p in _jittered_grid(SPHERE, 2000, 31)])
+    F, rows, _ = dist.feature_rows(C)
+    reach = float(rows(F[0], F).max())
+    for eps in (f * reach for f in fractions):
+        X, rows, cap = en._walk(dist, C)
+        assert cap is not None
+        order, radii, covered, row_entries = en._farthest_point_order(X, rows, cap, eps)
+        ref_order, ref_radii, ref_covered = _full_substrate_order(
+            lambda j: rows(F[j], F), eps)
+        assert len(order) > 10
+        assert order == ref_order
+        assert np.allclose(radii[1:], ref_radii[1:], rtol=0, atol=1e-15)
+        assert ref_covered - 1e-15 <= covered <= eps
+        assert row_entries < en._farthest_point_order(F.copy(), rows, None, eps)[3]
+
+
+@pytest.mark.parametrize("lam", [20.0, 40.0])
+def test_cap_traversal_on_antipodal_pairs(lam):
+    # on even l, d_lambda(x, -x) = 0 and d_lambda(c, x) = d_lambda(c, -x), so
+    # twins tie exactly and the last bit of their rows picks one. A BLAS
+    # product may round a row by where it sits in the matrix, and a cap
+    # gathers rows into new places; rows that round each row alone give the
+    # full-substrate order exactly, and the product rows give it up to
+    # swapping twins
+    dist = em.CanonicalDistance(em.make_embedding(SPHERE, lam))
+    half = np.stack([p.coords for p in _jittered_grid(SPHERE, 1000, 43)])
+    C = np.concatenate([half, -half])
+    F, rows, _ = dist.feature_rows(C)
+
+    def own_rows(f, G):
+        return em._dist_from_kernels(dist._diag, dist._diag, np.einsum("ij,j->i", G, f),
+                                     dist._k)
+
+    reach = float(rows(F[0], F).max())
+    for eps in (0.75 * reach, 0.65 * reach):
+        X, _, cap = en._walk(dist, C)
+        order, radii, covered, _ = en._farthest_point_order(X, own_rows, cap, eps)
+        ref_order, ref_radii, ref_covered = _full_substrate_order(
+            lambda j: own_rows(F[j], F), eps)
+        assert len(order) > 10
+        assert order == ref_order and radii == ref_radii and covered >= ref_covered
+        order, radii, covered, _ = en._farthest_point_order(*en._walk(dist, C), eps)
+        ref_order, ref_radii, ref_covered = _full_substrate_order(lambda j: rows(F[j], F),
+                                                                  eps)
+        assert [i % len(half) for i in order] == [i % len(half) for i in ref_order]
+        assert np.allclose(radii[1:], ref_radii[1:], rtol=0, atol=1e-15)
+        assert ref_covered - 1e-15 <= covered <= eps
+
+
+def test_cap_traversal_computes_a_fraction_of_the_rows():
+    # a silent fallback to full rows on the benchmark's lambda 40 curve fails
+    emb = em.make_embedding(SPHERE, 40.0)
+    dist = em.CanonicalDistance(emb)
+    C = np.stack([p.coords for p in mf.quasi_uniform_grid(SPHERE, 12000)])
+    eps = 0.65 * em.diameter_estimate(emb, 4000)
+    X, rows, cap = en._walk(dist, C)
+    order, radii, _, row_entries = en._farthest_point_order(X, rows, cap, eps)
+    F, _, _ = dist.feature_rows(C)
+    full_order, full_radii, _, full_entries = en._farthest_point_order(F, rows, None, eps)
+    assert order == full_order
+    assert np.allclose(radii[1:], full_radii[1:], rtol=0, atol=1e-15)
+    assert row_entries < full_entries / 4
+
+
+def test_cap_traversal_rejects_a_nan_coordinate():
+    dist = em.CanonicalDistance(em.make_embedding(SPHERE, 20.0))
+    C = np.stack([p.coords for p in _jittered_grid(SPHERE, 500, 47)])
+    C[7, 1] = math.nan
+    X, rows, cap = en._walk(dist, C)
+    assert cap is not None
+    with pytest.raises(ValueError, match="nan"):
+        en._farthest_point_order(X, rows, cap, 0.1)
 
 
 def test_covering_curve_walks_a_copy_of_the_coordinates():

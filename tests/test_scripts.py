@@ -145,3 +145,25 @@ def test_bench_traced_run_reads_per_layer_metrics(monkeypatch):
     run = bench._run(SCRIPTS.parent, "sup-sphere", 51, 10, trace=1)
     assert run["metrics"] == {"basis.grid_s": 0.05, "basis.stencil_s": 0.02}
     assert seen[0][seen[0].index("--trace") + 1] == "1"
+
+
+def test_bench_tier1_run_records_wall_time_and_counts(monkeypatch):
+    bench = _load("bench")
+    assert bench.parse_pytest_counts("....\n1 failed, 277 passed in 34.40s\n") == {
+        "failed": 1, "passed": 277}
+    assert bench.parse_pytest_counts("") == {}
+    calls = []
+
+    def fake_pytest(cmd, **kwargs):
+        calls.append((cmd, kwargs))
+        out = "FAILED tests/test_a.py::test_x\n1 failed, 3 passed, 2 errors in 9.1s\n"
+        return bench.subprocess.CompletedProcess(cmd, 1, out, "")
+
+    monkeypatch.setattr(bench.subprocess, "run", fake_pytest)
+    got = bench._tier1(SCRIPTS.parent)
+    assert got["exit"] == 1 and got["wall_s"] >= 0
+    assert got["counts"] == {"failed": 1, "passed": 3, "errors": 2}
+    (cmd, kwargs), = calls
+    assert cmd[1:3] == ["-m", "pytest"] and "--continue-on-collection-errors" in cmd
+    assert kwargs["cwd"] == SCRIPTS.parent
+    assert kwargs["env"]["PYTHONPATH"] == str(SCRIPTS.parent / "src")
