@@ -19,7 +19,8 @@ fails), and one tier-1 run (`python -m pytest -q
 --continue-on-collection-errors` on its own sources), for its wall time and
 its counts of passed and failed tests. The result is BENCH_<pr>.json at the
 repository root: the environment, every run's metrics, each side's traced
-metrics, criterion seconds and tier-1 run and, per workload, each side's
+metrics, criterion seconds, tier-1 run and source size (lines of every
+`*.py` under `src/`, as `wc -l` counts them) and, per workload, each side's
 median and quartiles of every end-to-end metric, the number of pairs in
 which the change read better, and a verdict on the change's median against
 the metric's bound.
@@ -195,6 +196,11 @@ def _tier1(root: Path) -> dict:
             "counts": parse_pytest_counts(proc.stdout)}
 
 
+def src_lines(root: Path) -> int:
+    """Lines of every *.py file in the src directory of a checkout, as `wc -l` counts."""
+    return sum(path.read_bytes().count(b"\n") for path in (root / "src").rglob("*.py"))
+
+
 def _run(root: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
@@ -257,6 +263,7 @@ def main(argv=None) -> int:
             print(f"verify {side}: {criteria[side].get('seconds')}", file=sys.stderr)
             tier1[side] = _tier1(roots[side])
             print(f"tier-1 {side}: {tier1[side]}", file=sys.stderr)
+        sizes = {side: src_lines(root) for side, root in roots.items()}
 
     report = {"pr": args.pr, "environment": environment(),
               "settings": {"command": spec["command"], "seconds": seconds,
@@ -265,7 +272,7 @@ def main(argv=None) -> int:
                             + (" + uncommitted changes" if _git("status", "--porcelain") else ""),
                             **({"parent": _git("rev-parse", args.parent)} if args.parent else {})},
               "summary": summarize(runs, spec["end_to_end"]), "runs": runs,
-              "traced": traced, "criteria": criteria, "tier1": tier1}
+              "traced": traced, "criteria": criteria, "tier1": tier1, "src_lines": sizes}
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)

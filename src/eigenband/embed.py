@@ -4,7 +4,8 @@ The embedding of a band is x -> (1/k) (phi_1(x), ..., phi_m(x)). This module
 computes that map, the band and cumulative projector kernels, the canonical
 distance pulled back from the ambient Euclidean metric, the pullback metric
 tensor, polyline lengths in that metric, and the scans (Lipschitz ratio,
-radial distance profile, diameter) the experiments are built on.
+radial distance profile, diameter) the experiments are built on, and the
+sphere caps that let a farthest-point traversal skip rows.
 
 Kernel fast paths exploit the addition theorem on the sphere and translation
 invariance on the torus; the naive mode sums stay available as oracles.
@@ -51,6 +52,8 @@ _CUT_STEPS_PER_LAMBDA = 500
 # subtracted from every step's bound: covers the rounding of feature rows,
 # of the table's own rows and of the substrate cosines
 _CUT_ROUNDING = 1e-9
+# zooms of the sphere diameter's search for the kernel minimum
+_MIN_ZOOMS = 6
 
 
 @dataclass(frozen=True)
@@ -203,7 +206,7 @@ class CanonicalDistance:
 
     def feature_rows(self, C: np.ndarray):
         """The feature matrix Phi(C), rows(f, F), the distances from the
-        feature row f to the rows of F, and cut (_sphere_cap_cut on the
+        feature row f to the rows of F, and near (_sphere_cap_cut on the
         sphere, None on the torus), for farthest-point traversal.
 
         A row takes its kernel values from one matrix-vector product F @ f
@@ -215,8 +218,8 @@ class CanonicalDistance:
             return _dist_from_kernels(diag, diag, F @ f, k)
 
         model = self.embedding.model
-        cut = _sphere_cap_cut(self.embedding) if model.kind == SPHERE2 else None
-        return bs.mode_matrix(model, self.embedding.band.modes, C), rows, cut
+        near = _sphere_cap_cut(self.embedding) if model.kind == SPHERE2 else None
+        return bs.mode_matrix(model, self.embedding.band.modes, C), rows, near
 
 
 def sphere_metric_constant(embedding: Embedding) -> float:
@@ -229,16 +232,17 @@ def sphere_metric_constant(embedding: Embedding) -> float:
 
 
 def _sphere_cap_cut(embedding: Embedding):
-    """cut(r) -> None or (cos a, cos b), with a <= pi/2 <= b: every pair of
-    sphere points at an angle in [a, b] is at d_lambda >= r.
+    """near(U, k, r) -> None or the indices of the rows of U (unit vectors)
+    at an angle to U[k] below a or above b, where a <= pi/2 <= b and every
+    pair of sphere points at an angle in [a, b] is at d_lambda >= r.
 
     On the sphere d_lambda = f(theta) of the angle theta. f is tabulated at
     _CUT_STEPS_PER_LAMBDA * ceil(lambda) equal steps h over [0, pi]. Since
     |f(t1) - f(t2)| <= d_lambda(y1, y2) <= sqrt(c) |t1 - t2|, with c from
     sphere_metric_constant, f >= (f_i + f_{i+1}) / 2 - sqrt(c) h / 2 on each
     step; less _CUT_ROUNDING, that is the step's bound. Suffix minima of the
-    bounds over [0, pi/2] give a, prefix minima over [pi/2, pi] give b, so a
-    cut is two searchsorted calls. None when neither side holds a step.
+    bounds over [0, pi/2] give a, prefix minima over [pi/2, pi] give b, by
+    two searchsorted calls. None when neither side holds a step.
     """
     band = _require_modes(embedding)
     half = _CUT_STEPS_PER_LAMBDA // 2 * math.ceil(band.lam)
@@ -253,14 +257,15 @@ def _sphere_cap_cut(embedding: Embedding):
     below = np.minimum.accumulate(bound[:half][::-1])[::-1]
     above = np.minimum.accumulate(bound[half:])[::-1]
 
-    def cut(r: float):
+    def near(U: np.ndarray, k: int, r: float):
         a = int(below.searchsorted(r))
         b = 2 * half - int(above.searchsorted(r))
         if a == half == b:
             return None
-        return math.cos(a * h), math.cos(b * h)
+        cosines = U @ U[k]
+        return np.flatnonzero((cosines > math.cos(a * h)) | (cosines < math.cos(b * h)))
 
-    return cut
+    return near
 
 
 # ---------------------------------------------------------------------------
@@ -395,10 +400,10 @@ def distance_profile(embedding: Embedding, r_values) -> list[ProfilePoint]:
             for a, b, c in zip(r, measured, ref)]
 
 
-def _kernel_min_theta(embedding: Embedding, thetas: np.ndarray, levels: int = 6) -> float:
+def _kernel_min_theta(embedding: Embedding, thetas: np.ndarray) -> float:
     """Angle of the sphere kernel's minimum: scan thetas, then zoom a
-    65-point grid around the smallest value, levels times."""
-    for _ in range(levels + 1):
+    65-point grid around the smallest value, _MIN_ZOOMS times."""
+    for _ in range(_MIN_ZOOMS + 1):
         vals = _pole_kernel(embedding, thetas)
         j = int(vals.argmin())
         lo = thetas[max(0, j - 1)]

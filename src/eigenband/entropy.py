@@ -14,11 +14,12 @@ rows cover only the points still live. A distance that offers
 feature_rows(C) (CanonicalDistance) supplies both: its feature matrix of
 the substrate, and rows over feature vectors. Any other distance walks a
 copy of the coordinates with its rows(x, C), or is called pair by pair.
-On the sphere, feature_rows also gives a cut: the angles at which the
-distance profile stays at or above a radius. An insertion at radius r can
-only lower the distances below r, so it computes rows just for the live
-points in the cut's cap around the new center, unless those are over half
-of the live set.
+feature_rows also gives near, None or a function: near(U, k, r) names the
+rows of the substrate coordinates U that a center at row k can bring
+nearer than r. An insertion at radius r can only lower the distances below
+r, so it computes rows just for those points, unless they are over half of
+the live set. rows and near are the traversal's whole contract with a
+distance; the geometry behind them, such as the sphere's caps, is embed's.
 
 scipy is imported inside the two functions that need it, so importing the
 package does not load it.
@@ -49,7 +50,7 @@ __all__ = [
 # pairs whose max underlies the reported curve diameter
 _DIAM_PROBE = 64
 # rows per gather, when compacting or taking a cap's rows: bounds the temporary copy
-_BLOCK = 1024
+_BLOCK = 512
 # smallest curve entries used for the tail power-law fit
 _TAIL_FIT_POINTS = 4
 
@@ -108,11 +109,11 @@ def _rows_fn(distance):
 
 def _walk(distance, C: np.ndarray):
     """The array a traversal of the substrate C walks, its rows function, and
-    its cap: None, or a copy of C with the distance's cut."""
+    its cap: None, or a copy of C with the distance's near function."""
     feature_rows = getattr(distance, "feature_rows", None)
     if feature_rows is not None:
-        F, rows, cut = feature_rows(C)
-        return F, rows, None if cut is None else (C.copy(), cut)
+        F, rows, near = feature_rows(C)
+        return F, rows, None if near is None else (C.copy(), near)
     return C.copy(), _rows_fn(distance), None
 
 
@@ -139,13 +140,13 @@ def _farthest_point_order(X: np.ndarray, rows, cap, stop_radius: float):
     of distance entries computed. A nan distance raises ValueError, since
     no radius would ever stop the traversal.
 
-    cap is None or (U, cut): U holds the substrate's unit coordinates, row
-    for row with X, and is compacted with it; cut(r) is None or the cosines
-    (cos a, cos b) such that no two points at an angle in [a, b] are nearer
-    than r. An insertion at radius r can only lower the distances below r,
-    so it computes rows for just the live points whose cosine to the center
-    is above cos a or below cos b, gathered in blocks of _BLOCK rows. When
-    those are over half of the live points, the row covers them all.
+    cap is None or (U, near): U holds the substrate's coordinates, row for
+    row with X, and is compacted with it; near(U, k, r) is None or the
+    ascending indices of the rows of U that a center at row k can bring
+    nearer than r. An insertion at radius r can only lower the distances
+    below r, so it computes rows for just those points, gathered in blocks
+    of _BLOCK rows. When they are over half of the live points, or near
+    gives None, the row covers them all.
     """
     dmin = rows(X[0], X)
     dmin[0] = 0.0
@@ -175,7 +176,7 @@ def _farthest_point_order(X: np.ndarray, rows, cap, stop_radius: float):
             raise ValueError(f"distance to substrate point {live[k]} is nan")
         order.append(int(live[k]))
         radii.append(r)
-        near = _cap_points(cap, k, r)
+        near = None if cap is None else cap[1](cap[0], k, r)
         if near is None or 2 * near.size > dmin.size:
             np.minimum(dmin, rows(X[k], X), out=dmin)
             entries += dmin.size
@@ -186,19 +187,6 @@ def _farthest_point_order(X: np.ndarray, rows, cap, stop_radius: float):
             entries += near.size
         dmin[k] = 0.0
     return order, radii, covered, entries
-
-
-def _cap_points(cap, k: int, r: float):
-    """Indices of the rows of cap's U that an insertion of row k at radius r
-    can bring nearer than r, or None when cap or its cut gives no bound."""
-    if cap is None:
-        return None
-    U, cut = cap
-    ends = cut(r)
-    if ends is None:
-        return None
-    cosines = U @ U[k]
-    return np.flatnonzero((cosines > ends[0]) | (cosines < ends[1]))
 
 
 def greedy_net(points, distance, epsilon: float) -> Net:

@@ -118,8 +118,8 @@ def test_canonical_distance_rows():
         paired = dist.rows(np.stack([p.coords for p in X]), C)
         for x, y, got in zip(X, Y, paired):
             assert got == pytest.approx(em.dist_lambda(emb, x, y), abs=1e-12)
-        F, row, cut = dist.feature_rows(C)
-        assert (cut is None) == (model.kind != mf.SPHERE2)
+        F, row, near = dist.feature_rows(C)
+        assert (near is None) == (model.kind != mf.SPHERE2)
         assert np.array_equal(F, bs.mode_matrix(model, emb.band.modes, C))
         for j in (0, 7):
             # compared squared: the square root magnifies rounding near zero

@@ -291,12 +291,12 @@ def test_feature_traversal_compacts_in_place():
 
     emb = em.make_embedding(SPHERE, 40.0)
     C = mf.uniform_sample_rows(SPHERE, np.random.default_rng(83), 5000)
-    F, rows, cut = em.CanonicalDistance(emb).feature_rows(C)
+    F, rows, near = em.CanonicalDistance(emb).feature_rows(C)
     eps = 0.6 * float(rows(F[0], F).max())
     full = F.copy()
     ref_order, ref_radii, _ = _full_substrate_order(lambda j: rows(full[j], full), eps)
     tracemalloc.start()
-    order, radii, _, row_entries = en._farthest_point_order(F, rows, (C, cut), eps)
+    order, radii, _, row_entries = en._farthest_point_order(F, rows, (C, near), eps)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < F.nbytes / 4
@@ -318,26 +318,27 @@ def test_sphere_cap_cut_is_sound(lam):
     # at random pairs, is at distance >= r
     emb = em.make_embedding(SPHERE, lam)
     dist = em.CanonicalDistance(emb)
-    cut = em._sphere_cap_cut(emb)
+    near = em._sphere_cap_cut(emb)
     steps = em._CUT_STEPS_PER_LAMBDA * math.ceil(lam)
     theta = np.linspace(0.0, math.pi, 16 * steps + 1)
+    # grid[0] is the pole, the center of the meridian's cap
     grid = np.stack([np.sin(theta), np.zeros_like(theta), np.cos(theta)], axis=1)
     f_grid = dist.rows(np.array([0.0, 0.0, 1.0]), grid)
     rng = np.random.default_rng(89)
     C = mf.uniform_sample_rows(SPHERE, rng, 4000)
     F, rows, _ = dist.feature_rows(C)
-    sampled = [(C @ C[j], rows(F[j], F)) for j in range(4)]
+    sampled = [(C, j, rows(F[j], F)) for j in range(4)]
     trough = _first_trough(f_grid)
-    top = float(sampled[0][1].max())
+    top = float(sampled[0][2].max())
     for r in np.linspace(top, 0.9 * trough, 300):
-        ends = cut(r)
-        if r < trough:
-            assert ends is not None
-        if ends is None:
-            continue
-        cos_a, cos_b = ends
-        for cosines, f in [(np.cos(theta), f_grid)] + sampled:
-            outside = (cosines <= cos_a) & (cosines >= cos_b)
+        for U, k, f in [(grid, 0, f_grid)] + sampled:
+            cap = near(U, k, r)
+            if r < trough:
+                assert cap is not None
+            if cap is None:
+                continue
+            outside = np.ones(len(U), dtype=bool)
+            outside[cap] = False
             assert np.all(f[outside] >= r)
 
 
@@ -410,6 +411,42 @@ def test_cap_traversal_computes_a_fraction_of_the_rows():
     assert order == full_order
     assert np.allclose(radii[1:], full_radii[1:], rtol=0, atol=1e-15)
     assert row_entries < full_entries / 4
+
+
+class _GeodesicCaps(mf.GeodesicDistance):
+    """The sphere geodesic with a cap of its own: a center reaches below r
+    only the points at cosine above cos r."""
+
+    def feature_rows(self, C):
+        def near(U, k, r):
+            return np.flatnonzero(U @ U[k] > math.cos(r))
+
+        return C.copy(), self.rows, near
+
+
+def test_cap_traversal_takes_any_near_function():
+    # the traversal holds no geometry: a geodesic cap walks as the geodesic
+    # full rows do, computing fewer of them
+    pts = _jittered_grid(SPHERE, 2000, 53)
+    C = np.stack([p.coords for p in pts])
+    capped, dg = _GeodesicCaps(SPHERE), mf.GeodesicDistance(SPHERE)
+    eps = [0.3, 0.15, 0.08]
+    order, radii, covered, row_entries = en._farthest_point_order(
+        *en._walk(capped, C), eps[-1])
+    ref_order, ref_radii, ref_covered, ref_entries = en._farthest_point_order(
+        *en._walk(dg, C), eps[-1])
+    assert len(order) > 100
+    assert order == ref_order
+    assert np.allclose(radii[1:], ref_radii[1:], rtol=0, atol=1e-15)
+    assert covered == pytest.approx(ref_covered, abs=1e-15)
+    assert row_entries < ref_entries
+    for e in eps:
+        net, ref_net = en.greedy_net(pts, capped, e), en.greedy_net(pts, dg, e)
+        assert [id(c) for c in net.centers] == [id(c) for c in ref_net.centers]
+        assert net.covered_check == pytest.approx(ref_net.covered_check, abs=1e-15)
+    curve, ref_curve = en.covering_curve(pts, capped, eps), en.covering_curve(pts, dg, eps)
+    assert replace(curve, row_entries=0) == replace(ref_curve, row_entries=0)
+    assert curve.row_entries < ref_curve.row_entries
 
 
 def test_cap_traversal_rejects_a_nan_coordinate():

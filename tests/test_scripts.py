@@ -167,3 +167,33 @@ def test_bench_tier1_run_records_wall_time_and_counts(monkeypatch):
     assert cmd[1:3] == ["-m", "pytest"] and "--continue-on-collection-errors" in cmd
     assert kwargs["cwd"] == SCRIPTS.parent
     assert kwargs["env"]["PYTHONPATH"] == str(SCRIPTS.parent / "src")
+
+
+def _write_tree(root, files):
+    for name, text in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+
+
+def test_bench_report_records_each_sides_source_lines(tmp_path, monkeypatch):
+    bench = _load("bench")
+    change = tmp_path / "change"
+    # only *.py files under src/ count, in every package
+    _write_tree(change, {"src/pkg/a.py": "x = 1\ny = 2\n", "src/pkg/sub/b.py": "z = 3\n",
+                         "src/pkg/notes.txt": "not code\n", "scripts/c.py": "w = 4\n",
+                         "BENCHMARK.json": json.dumps({
+                             "command": ["python3", "perfbench/run.py"], "run_seconds": 1,
+                             "workloads": [{"name": "w"}], "end_to_end": END_TO_END})})
+    parent_files = {"src/pkg/a.py": "x = 1\n"}
+    assert bench.src_lines(change) == 3
+    monkeypatch.setattr(bench, "ROOT", change)
+    monkeypatch.setattr(bench, "_git", lambda *args: "0123abc")
+    monkeypatch.setattr(bench, "_extract", lambda rev, dest: _write_tree(dest, parent_files))
+    monkeypatch.setattr(bench, "_run", lambda root, workload, seed, seconds, trace=0: {
+        "correct": True, "attempted": 1, "failed": 0, "metrics": {"study_s": 0.1}})
+    monkeypatch.setattr(bench, "_verify", lambda root: {"exit": 0})
+    monkeypatch.setattr(bench, "_tier1", lambda root: {"exit": 0})
+    assert bench.main(["--pr", "7", "--parent", "HEAD", "--seeds", "1"]) == 0
+    report = json.loads((change / "BENCH_7.json").read_text())
+    assert report["src_lines"] == {"change": 3, "parent": 1}
