@@ -113,27 +113,26 @@ def _degree_value_rows(l: int, t: np.ndarray, s: np.ndarray, coefficients) -> np
 
 
 def _degree_gradient_rows(l: int, t: np.ndarray, s: np.ndarray):
-    """(m, d/dtheta Pbar_l^m, Pbar_l^m / sin theta) for m = 1..l, then m = 0.
+    """d/dtheta Pbar_l^m and Pbar_l^m / sin theta for m = 0..l, as the rows
+    of two (l+1, n) arrays.
 
     The over-sine rows use the ratio recurrence seeded at sin^(m-1), so both
-    rows stay finite at the poles; the m = 0 over-sine row is unused and
-    given as None.
+    rows stay finite at the poles; the m = 0 over-sine row is zero.
     """
-    # m = 0 from the m = 1 value row: d/dtheta Pbar_l^0 = -sqrt(l(l+1)) Pbar_l^1
+    dtheta = np.zeros((l + 1, t.size))
+    over_s = np.zeros((l + 1, t.size))
     diag = np.full(t.size, INV_SQRT_4PI * math.sqrt(3.0 / 2.0))
-    over_s1 = None
     for m in range(1, l + 1):
         if m > 1:
             diag = diag * math.sqrt((2 * m + 1) / (2.0 * m)) * s
         r_l, r_lm1 = assoc_legendre_upward(l, m, t, diag)
-        if m == 1:
-            over_s1 = r_l
         c = math.sqrt((l * l - m * m) * (2.0 * l + 1.0) / (2.0 * l - 1.0)) if l > m else 0.0
-        yield m, l * t * r_l - c * r_lm1, r_l
-    if l >= 1:
-        yield 0, -math.sqrt(l * (l + 1.0)) * (over_s1 * s), None
-    else:
-        yield 0, np.zeros(t.size), None
+        dtheta[m] = l * t * r_l - c * r_lm1
+        over_s[m] = r_l
+    if l:
+        # m = 0 from the m = 1 value row: d/dtheta Pbar_l^0 = -sqrt(l(l+1)) Pbar_l^1
+        dtheta[0] = -math.sqrt(l * (l + 1.0)) * (over_s[1] * s)
+    return dtheta, over_s
 
 
 def _sphere_angles(coords: np.ndarray):
@@ -144,47 +143,46 @@ def _sphere_angles(coords: np.ndarray):
     return t, s, phi
 
 
-def _group_degrees(modes) -> dict[int, dict[int, list[tuple[int, int]]]]:
-    """l -> |m| -> [(column index, m)], preserving mode order."""
-    groups: dict[int, dict[int, list[tuple[int, int]]]] = {}
-    for j, mode in enumerate(modes):
-        l, m = mode.label
-        groups.setdefault(l, {}).setdefault(abs(m), []).append((j, m))
-    return groups
+def _sphere_labels(modes):
+    """Degree, signed order and |m| of every sphere mode, as integer arrays."""
+    L, M = np.array([mode.label for mode in modes], dtype=np.intp).reshape(-1, 2).T
+    return L, M, np.abs(M)
 
 
 def _sphere_value_matrix(modes, coords: np.ndarray) -> np.ndarray:
-    # Legendre rows by blocks of points, then each column's azimuthal factor
+    # per degree and block of points: the Legendre rows by |m| times their
+    # scale, cos(|m| phi) on the cos rows and sin(|m| phi) on the sin rows
+    # (m = 0 is a cos row, and cos 0 = 1), then one scatter into out
     t, s, phi = _sphere_angles(coords)
+    L, M, A = _sphere_labels(modes)
     out = np.empty((len(coords), len(modes)))
-    for l, orders in _group_degrees(modes).items():
-        J, M = np.array([(j, m) for m, group in orders.items() for j, _ in group]).T
-        scale = np.where(M == 0, 1.0, _SQRT2)[:, None]
+    for l in dict.fromkeys(L.tolist()):
+        cos_cols = np.flatnonzero((L == l) & (M >= 0))
+        J = np.concatenate([cos_cols, np.flatnonzero((L == l) & (M < 0))])
+        n_cos, Aj = cos_cols.size, A[J]
+        scale = np.where(Aj == 0, 1.0, _SQRT2)[:, None]
         coefficients = _climb_coefficients(l)
         step = _climb_block(l)
         for lo in range(0, len(t), step):
             block = slice(lo, lo + step)
-            # one statement, so no block's arrays outlive it
-            out[block, J] = (_degree_value_rows(l, t[block], s[block], coefficients)[M]
-                             * scale).T
-        for m, group in orders.items():
-            if m > 0:
-                mphi = m * phi
-                for j, signed in group:
-                    out[:, j] *= (np.cos if signed > 0 else np.sin)(mphi)
+            V = _degree_value_rows(l, t[block], s[block], coefficients)[Aj] * scale
+            V[:n_cos] *= np.cos(Aj[:n_cos, None] * phi[block])
+            V[n_cos:] *= np.sin(Aj[n_cos:, None] * phi[block])
+            out[block, J] = V.T
+            del V  # so it does not outlive its block into the next climb
     return out
 
 
-def _torus_omegas(model: ManifoldModel, modes) -> tuple[np.ndarray, np.ndarray]:
-    """Frequency vectors (m x n) and a boolean cos-flavor mask."""
-    labels = [mode.label for mode in modes]
-    K = np.array([k for k, _ in labels])
-    is_cos = np.array([flavor == "cos" for _, flavor in labels])
-    return 2.0 * math.pi * K / np.array(model.side_lengths), is_cos
+def _torus_labels(model: ManifoldModel, modes) -> tuple[np.ndarray, np.ndarray]:
+    """Lattice vectors (modes x dim) and a cos mask of the torus modes."""
+    K = np.array([mode.label[0] for mode in modes], dtype=np.intp).reshape(-1, model.dim)
+    is_cos = np.array([mode.label[1] == "cos" for mode in modes], dtype=bool)
+    return K, is_cos
 
 
 def _torus_value_matrix(model: ManifoldModel, modes, coords: np.ndarray) -> np.ndarray:
-    W, is_cos = _torus_omegas(model, modes)
+    K, is_cos = _torus_labels(model, modes)
+    W = 2.0 * math.pi * K / np.array(model.side_lengths)
     amp = math.sqrt(2.0 / model.volume)
     phase = coords @ W.T
     out = np.empty_like(phase)
@@ -222,10 +220,9 @@ def torus_grid_values(model: ManifoldModel, modes, A: np.ndarray, counts) -> np.
     counts = tuple(counts)
     size = math.prod(counts)
     half = (*counts[:-1], counts[-1] // 2 + 1)
-    labels = [mode.label for mode in modes]
-    K = np.array([k for k, _ in labels], dtype=np.intp).reshape(-1, len(counts))
+    K, is_cos = _torus_labels(model, modes)
     sites = np.concatenate([K, -K]) % np.array(counts)
-    C = A.T * np.array([0.5 if flavor == "cos" else -0.5j for _, flavor in labels])
+    C = A.T * np.where(is_cos, 0.5, -0.5j)
     keep = sites[:, -1] < half[-1]
     lattice = np.zeros((A.shape[1], *half), dtype=complex)
     np.add.at(lattice.reshape(len(lattice), -1),
@@ -245,20 +242,21 @@ def _sphere_gradient_ambient(modes, coords: np.ndarray) -> np.ndarray:
     cphi, sphi = np.cos(phi), np.sin(phi)
     e_theta = np.stack([t * cphi, t * sphi, -s], axis=1)
     e_phi = np.stack([-sphi, cphi, np.zeros_like(phi)], axis=1)
-    out = np.zeros((len(coords), len(modes), 3))
-    for l, orders in _group_degrees(modes).items():
-        for m, dtheta, over_s in _degree_gradient_rows(l, t, s):
-            for j, signed in orders.get(m, ()):
-                if m == 0:
-                    dth, dph = dtheta, np.zeros_like(phi)
-                elif signed > 0:
-                    dth = _SQRT2 * dtheta * np.cos(m * phi)
-                    dph = -_SQRT2 * m * over_s * np.sin(m * phi)
-                else:
-                    dth = _SQRT2 * dtheta * np.sin(m * phi)
-                    dph = _SQRT2 * m * over_s * np.cos(m * phi)
-                out[:, j, :] = dth[:, None] * e_theta + dph[:, None] * e_phi
-    return out
+    L, M, A = _sphere_labels(modes)
+    dtheta = np.empty((len(coords), len(modes)))
+    over_s = np.empty_like(dtheta)
+    for l in dict.fromkeys(L.tolist()):
+        J = np.flatnonzero(L == l)
+        d, o = _degree_gradient_rows(l, t, s)
+        dtheta[:, J], over_s[:, J] = d[A[J]].T, o[A[J]].T
+    # m = 0 keeps d/dtheta alone: its scale and cos 0 are 1, and its
+    # phi-component factor is 0
+    mphi = phi[:, None] * A
+    cos, sin = np.cos(mphi), np.sin(mphi)
+    is_sin = M < 0
+    dth = np.where(A == 0, 1.0, _SQRT2) * dtheta * np.where(is_sin, sin, cos)
+    dph = np.where(M > 0, -_SQRT2, _SQRT2) * A * over_s * np.where(is_sin, cos, sin)
+    return dth[:, :, None] * e_theta[:, None, :] + dph[:, :, None] * e_phi[:, None, :]
 
 
 def gradient_matrix(model: ManifoldModel, modes, x: Point) -> np.ndarray:
@@ -268,7 +266,8 @@ def gradient_matrix(model: ManifoldModel, modes, x: Point) -> np.ndarray:
         amb = _sphere_gradient_ambient(modes, xc[None, :])[0]
         frame = mf.tangent_frame(model, x)
         return amb @ frame.T
-    W, is_cos = _torus_omegas(model, modes)
+    K, is_cos = _torus_labels(model, modes)
+    W = 2.0 * math.pi * K / np.array(model.side_lengths)
     amp = math.sqrt(2.0 / model.volume)
     phase = W @ xc
     scale = np.where(is_cos, -np.sin(phase), np.cos(phase))

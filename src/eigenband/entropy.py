@@ -167,11 +167,10 @@ def _farthest_point_order(X: np.ndarray, rows, cap, stop_radius: float):
             X = _compact(X, keep)
             if cap is not None:
                 cap = _compact(cap[0], keep), cap[1]
+        # emptying the live set is the stop: it empties once every live
+        # distance is <= stop_radius, so the argmax exceeds it or is nan
         k = int(np.argmax(dmin))
         r = float(dmin[k])
-        if r <= stop_radius:
-            covered = max(covered, r)
-            break
         if math.isnan(r):
             raise ValueError(f"distance to substrate point {live[k]} is nan")
         order.append(int(live[k]))

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ except ImportError:  # older scipy
     def _complex_harmonic(l, m, theta, phi):
         return sph_harm(m, l, phi, theta)
 
+import eigenband
 from eigenband import basis as bs
 from eigenband import manifold as mf
 from eigenband import specfun as sf
@@ -246,6 +251,73 @@ def test_gradients_match_finite_differences(model, lam):
         assert np.max(np.abs(G - F)) / scale < 1e-7
 
 
+def _per_mode_gradients(modes, x):
+    """Sphere gradient_matrix one mode at a time: each order's diagonal seed
+    at sin^(m-1) by its running product, specfun.assoc_legendre_upward, the
+    d/dtheta and over-sine rows, the azimuthal factors and the ambient
+    frame, in the operation order of the per-mode assembly before the label
+    arrays, then the tangent frame."""
+    t, s, phi = bs._sphere_angles(x.coords[None, :])
+    cphi, sphi = np.cos(phi), np.sin(phi)
+    e_theta = np.stack([t * cphi, t * sphi, -s], axis=1)
+    e_phi = np.stack([-sphi, cphi, np.zeros_like(phi)], axis=1)
+
+    def over_sine(l, m):
+        diag = np.full(1, sf.INV_SQRT_4PI * math.sqrt(3.0 / 2.0))
+        for i in range(2, m + 1):
+            diag = diag * math.sqrt((2 * i + 1) / (2.0 * i)) * s
+        return sf.assoc_legendre_upward(l, m, t, diag)
+
+    out = np.zeros((len(modes), 3))
+    for j, mode in enumerate(modes):
+        l, m = mode.label
+        a = abs(m)
+        if m == 0:
+            dph = np.zeros(1)
+            dth = -math.sqrt(l * (l + 1.0)) * (over_sine(l, 1)[0] * s) if l else np.zeros(1)
+        else:
+            r_l, r_lm1 = over_sine(l, a)
+            c = math.sqrt((l * l - a * a) * (2.0 * l + 1.0) / (2.0 * l - 1.0)) if l > a else 0.0
+            dtheta = l * t * r_l - c * r_lm1
+            if m > 0:
+                dth = math.sqrt(2.0) * dtheta * np.cos(a * phi)
+                dph = -math.sqrt(2.0) * a * r_l * np.sin(a * phi)
+            else:
+                dth = math.sqrt(2.0) * dtheta * np.sin(a * phi)
+                dph = math.sqrt(2.0) * a * r_l * np.cos(a * phi)
+        out[j] = (dth[:, None] * e_theta + dph[:, None] * e_phi)[0]
+    return out @ mf.tangent_frame(SPHERE, x).T
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0, 9.0, 40.0, 80.0])
+def test_sphere_gradients_equal_per_mode_route(lam):
+    # poles, ring nodes and random points, with the mode order shuffled
+    rng = np.random.default_rng(int(lam * 10) + 1)
+    band = sp.enumerate_band(SPHERE, lam)
+    modes = [band.modes[i] for i in rng.permutation(band.m_lambda)]
+    for coords in _mixed_points(9, rng):
+        x = mf.make_point(SPHERE, coords)
+        assert np.array_equal(bs.gradient_matrix(SPHERE, modes, x), _per_mode_gradients(modes, x))
+
+
+def test_sphere_gradients_equal_per_mode_route_across_degrees():
+    # degrees 0..4 in one call, interleaved, with a repeated mode
+    labels = [(l, m) for l in range(5) for m in range(-l, l + 1)]
+    rng = np.random.default_rng(4)
+    modes = [sp.Mode(id=i, mu=0.0, label=labels[i]) for i in rng.permutation(len(labels))]
+    modes.append(modes[0])
+    for coords in _mixed_points(9, rng):
+        x = mf.make_point(SPHERE, coords)
+        assert np.array_equal(bs.gradient_matrix(SPHERE, modes, x), _per_mode_gradients(modes, x))
+
+
+@pytest.mark.parametrize("model", [SPHERE, TORUS])
+def test_gradients_of_no_modes(model):
+    x = mf.uniform_sample(model, np.random.default_rng(5))
+    G = bs.gradient_matrix(model, [], x)
+    assert G.shape == (0, model.dim)
+
+
 def test_gradients_at_poles():
     band = sp.enumerate_band(SPHERE, 9.0)
     for z in (1.0, -1.0):
@@ -311,3 +383,24 @@ def test_quadrature_weights_sum_to_volume():
 def test_band_orthonormality(model, lam, q, tol):
     band = sp.enumerate_band(model, lam)
     assert bs.orthonormality_check(model, band, q) < tol
+
+
+def test_basis_does_not_import_numpy_ma():
+    # numpy.ma costs about 1 MiB of memory; nothing on these routes needs it
+    src = str(Path(eigenband.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = """import sys
+import numpy as np
+import eigenband
+from eigenband import basis, manifold, spectrum, waves
+for model in (manifold.sphere2(), manifold.flat_torus((6.0, 5.0))):
+    band = spectrum.enumerate_band(model, 6.0)
+    x = manifold.uniform_sample(model, np.random.default_rng(0))
+    basis.mode_matrix(model, band.modes, x.coords[None, :])
+    basis.gradient_matrix(model, band.modes, x)
+    waves.expected_sup(model, 6.0, 2, 4.0, seed=1)
+print('numpy.ma' in sys.modules)
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"

@@ -255,6 +255,25 @@ def test_distance_profile_reference_and_validation():
         em.distance_profile(emb, [SPHERE.injectivity_radius + 0.1])
 
 
+@pytest.mark.parametrize("sides,lam", [((2.0 * math.pi, 1.5 * math.pi), 12.0),
+                                       ((3.0, 4.0, 5.0), 6.0)])
+def test_distance_profile_on_torus(sides, lam):
+    # the profile walks from the origin along one fixed direction
+    model = mf.flat_torus(sides)
+    emb = em.make_embedding(model, lam)
+    r = np.linspace(0.0, model.injectivity_radius, 9)
+    pts = em.distance_profile(emb, r)
+    assert pts[0].measured == 0.0
+    u = np.array(em._GENERIC_DIR[:model.dim])
+    u /= np.linalg.norm(u)
+    origin = mf.make_point(model, np.zeros(model.dim))
+    for p in pts:
+        y = mf.make_point(model, p.r * u)
+        assert p.measured == pytest.approx(em.dist_lambda(emb, origin, y), abs=1e-12)
+    with pytest.raises(ValueError):
+        em.distance_profile(emb, [model.injectivity_radius + 0.1])
+
+
 def test_diameter_sphere_degree_one():
     # l=1 band: antipodal points embed at Euclidean distance
     # sqrt(2 m / (vol k^2)) * sqrt(2) with m=3, the exact maximum
