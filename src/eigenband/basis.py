@@ -27,6 +27,8 @@ __all__ = [
     "grad_mode",
     "mode_matrix",
     "torus_grid_values",
+    "torus_half_spectrum",
+    "torus_row_values",
     "gradient_matrix",
     "orthonormality_check",
 ]
@@ -201,39 +203,61 @@ def mode_matrix(model: ManifoldModel, modes, coords: np.ndarray) -> np.ndarray:
     return _torus_value_matrix(model, modes, coords)
 
 
-def torus_grid_values(model: ManifoldModel, modes, A: np.ndarray, counts) -> np.ndarray:
-    """Values of the coefficient columns of A (modes x columns) on the torus
-    product grid with counts[i] nodes on axis i: (columns, points), points
-    in the C order of manifold.product_grid.
+def torus_half_spectrum(model: ManifoldModel, modes, A: np.ndarray, counts) -> np.ndarray:
+    """The used columns of the Hermitian half lattice of the coefficient
+    columns of A (modes x columns) on the torus product grid with counts[i]
+    nodes on axis i, after the complex inverse FFTs over every axis but the
+    last: (columns, prod(counts[:-1]), width), its rows in C order.
 
     A mode of frequency 2 pi k / L has phase 2 pi k.j / c at node j, and
     a cos + b sin = (a - i b)/2 e^{i theta} + (a + i b)/2 e^{-i theta}, so the
     values are one real inverse FFT of the Hermitian lattice with those halves
-    at k and -k mod counts, exact for any counts. Only the half below
-    counts[-1] // 2 + 1 on the last axis is built; both halves can land on
-    its zero and Nyquist planes, where they are summed. Every site of that
-    half lies in the columns up to the band's largest |k| on the last axis,
-    so the complex inverse FFTs over the other axes run on those columns
-    alone: the rest are zeros, whose transform is zeros, and the values equal
-    the full half lattice's bit for bit.
+    at k and -k mod counts, exact for any counts. Of the half below
+    counts[-1] // 2 + 1 on the last axis, both halves can land on its zero
+    and Nyquist planes, where they are summed. Every site of that half lies
+    in the columns up to the band's largest |k| on the last axis, so only
+    those width columns are built and transformed: the rest are zeros, whose
+    transform is zeros.
     """
     counts = tuple(counts)
-    size = math.prod(counts)
-    half = (*counts[:-1], counts[-1] // 2 + 1)
     K, is_cos = _torus_labels(model, modes)
+    width = min(int(np.abs(K[:, -1]).max(initial=0)) + 1, counts[-1] // 2 + 1)
+    used = (*counts[:-1], width)
     sites = np.concatenate([K, -K]) % np.array(counts)
     C = A.T * np.where(is_cos, 0.5, -0.5j)
-    keep = sites[:, -1] < half[-1]
-    lattice = np.zeros((A.shape[1], *half), dtype=complex)
-    np.add.at(lattice.reshape(len(lattice), -1),
-              (slice(None), np.ravel_multi_index(tuple(sites[keep].T), half)),
+    keep = sites[:, -1] < width
+    spectrum = np.zeros((A.shape[1], *used), dtype=complex)
+    np.add.at(spectrum.reshape(len(spectrum), -1),
+              (slice(None), np.ravel_multi_index(tuple(sites[keep].T), used)),
               np.concatenate([C, C.conj()], axis=1)[:, keep])
-    # irfftn's own steps, with the complex ones in place on the used columns
-    used = lattice[..., :int(np.abs(K[:, -1]).max(initial=0)) + 1]
+    # irfftn's own steps, with the complex ones in place
     for axis in range(1, len(counts)):
-        np.fft.ifft(used, axis=axis, out=used)
-    V = np.fft.irfft(lattice, n=counts[-1], axis=-1).reshape(-1, size)
-    return np.multiply(V, size * math.sqrt(2.0 / model.volume), out=V)
+        np.fft.ifft(spectrum, axis=axis, out=spectrum)
+    return spectrum.reshape(len(spectrum), -1, width)
+
+
+def torus_row_values(model: ManifoldModel, half: np.ndarray, counts,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """Grid values along the last axis of rows of the half lattice of
+    torus_half_spectrum(..., counts), (..., counts[-1] // 2 + 1) with zeros
+    past its used columns: (..., counts[-1]), into out if given. Any block
+    of rows gives the values of the whole lattice bit for bit. irfft would
+    pad the used columns with zeros itself, to the same bits, but about 40%
+    slower."""
+    V = np.fft.irfft(half, n=counts[-1], axis=-1, out=out)
+    return np.multiply(V, math.prod(counts) * math.sqrt(2.0 / model.volume), out=V)
+
+
+def torus_grid_values(model: ManifoldModel, modes, A: np.ndarray, counts) -> np.ndarray:
+    """Values of the coefficient columns of A (modes x columns) on the torus
+    product grid with counts[i] nodes on axis i: (columns, points), points
+    in the C order of manifold.product_grid; one inverse FFT of the half
+    lattice of torus_half_spectrum, exact for any counts."""
+    spectrum = torus_half_spectrum(model, modes, A, counts)
+    half = np.zeros((*spectrum.shape[:2], counts[-1] // 2 + 1), dtype=complex)
+    half[..., :spectrum.shape[2]] = spectrum
+    del spectrum  # so that it does not outlive the half lattice's copy of it
+    return torus_row_values(model, half, counts).reshape(len(half), -1)
 
 
 def _sphere_gradient_ambient(modes, coords: np.ndarray) -> np.ndarray:

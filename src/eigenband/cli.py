@@ -245,14 +245,33 @@ def _run_isometry(cfg: ExperimentConfig):
                           "max_path_dev": max(devs)}, flags
 
 
+def _loglog_fit(lams, means) -> dict:
+    """OLS slope of log E sup against log log lambda over the lambda > e,
+    with its standard error (nan below 3 points; the slope, below 2)."""
+    pts = [(math.log(math.log(lam)), math.log(m)) for lam, m in zip(lams, means)
+           if lam > math.e]
+    fit = {"lambdas": [lam for lam in lams if lam > math.e],
+           "slope": math.nan, "std_error": math.nan}
+    if len(pts) >= 2:
+        x, y = np.array(pts).T
+        dx = x - x.mean()
+        fit["slope"] = slope = float(dx @ (y - y.mean()) / (dx @ dx))
+        if len(pts) >= 3:
+            resid = y - y.mean() - slope * dx
+            fit["std_error"] = math.sqrt(resid @ resid / (len(pts) - 2) / (dx @ dx))
+    return fit
+
+
 def _run_supnorm(cfg: ExperimentConfig):
     model = _model(cfg)
     rows = []
     summary = {}
     flags = {}
     for lam in _lams(cfg):
+        t0 = time.perf_counter()
         est = wv.expected_sup(model, lam, cfg.samples, cfg.grid_density,
                               cfg.seed)
+        seconds = time.perf_counter() - t0
         bound = wv.sup_norm_bound(model, lam)
         ratio = est.mean / math.sqrt(math.log(lam)) if lam > 1 else math.nan
         rows.append((cfg.kind, lam, est.mean, est.std_error, est.samples,
@@ -262,8 +281,10 @@ def _run_supnorm(cfg: ExperimentConfig):
                                   "sup_bound_aperiodic": bound.aperiodic,
                                   "level_peaks": list(est.level_peaks),
                                   "level_sizes": list(est.level_sizes),
-                                  "refine_gain": est.refine_gain}
+                                  "refine_gain": est.refine_gain,
+                                  "seconds": seconds}
         flags[f"below_sup_bound_lam{lam:g}"] = bool(est.mean <= bound.general)
+    summary["loglog_fit"] = _loglog_fit([r[1] for r in rows], [r[2] for r in rows])
     header = ("model", "lam", "mean_sup", "std_error", "samples", "grid_points",
               "sup_bound_general", "sup_bound_aperiodic", "ratio_vs_sqrt_log")
     return header, rows, summary, flags
@@ -399,6 +420,10 @@ def run(subcommand: str, cfg: ExperimentConfig):
         raise ConfigError(f"unknown subcommand {subcommand!r}")
     if cfg.lams and subcommand in _ONE_LAMBDA:
         raise ConfigError(f"{subcommand} runs at one lambda: use --lambda, not --lambdas")
+    keys = [f"{lam:g}" for lam in cfg.lams]
+    if len(set(keys)) < len(keys):
+        # the JSON summary and flags key each lambda by this form
+        raise ConfigError(f"lambda list {','.join(keys)} repeats a value")
     t0 = time.perf_counter()
     header, rows, summary, flags = _RUNNERS[subcommand](cfg)
     report = Report(experiment=subcommand, config=dataclasses.asdict(cfg),

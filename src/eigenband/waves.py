@@ -6,22 +6,32 @@ pair regenerates the identical wave on any machine and in any order.
 
 Sup norms are estimated on a ladder of grids (densities 4, 8, ... up to
 the requested points-per-wavelength) with a quadratic refinement step
-around each level's argmax, made for every wave at once. Running every
-ladder level, and keeping every level's refinement candidates, makes the
-estimate monotone nondecreasing in the requested density.
+around each level's argmax, made for every wave and every level at once:
+one stencil call and one candidate call. Running every ladder level, and
+keeping every level's refinement candidates, makes the estimate monotone
+nondecreasing in the requested density.
+
+A level's point count per axis is the least 5-smooth number (no prime
+factor above 5) at or above what its spacing asks for, so that every
+inverse FFT has a fast length. The count depends only on the level's
+spacing, so the monotonicity above still holds.
 
 Each level's values are inverse FFTs. On the torus a level is a product
-grid of c points per axis, and basis.torus_grid_values (shared with the
-torus diameter scan) gives it as one real inverse FFT of the Hermitian
-half lattice holding the coefficients at +-k mod c, exact for any c. On the
-sphere a level is N equiangular rings theta_j = (j + 1/2) pi / N with 2N
-azimuths pi k / N each. A sphere band holds one degree l, and along a ring a
-wave is a trigonometric polynomial in phi of order at most l < N: order m's
-column of the level's real (rings x (l + 1)) table of normalized Legendre
-values, times the cos coefficient and times minus the sin coefficient, gives
-the real and imaginary parts of its azimuthal spectrum at m, and one
-row-wise irfft gives the level exactly. No level keeps its grid: a wave's
-peak node is computed from its flat index.
+grid of c points per axis, and basis.torus_half_spectrum (shared with the
+torus diameter scan through basis.torus_grid_values) gives the Hermitian
+half lattice holding the coefficients at +-k mod c, exact for any c, after
+the complex inverse FFTs over every axis but the last; the last axis's
+real inverse FFT then gives the values row by row. On the sphere a level
+is N equiangular rings theta_j = (j + 1/2) pi / N with 2N azimuths pi k / N
+each. A sphere band holds one degree l, and along a ring a wave is a
+trigonometric polynomial in phi of order at most l < N: order m's column
+of the level's real (rings x (l + 1)) table of normalized Legendre values,
+times the cos coefficient and times minus the sin coefficient, gives the
+real and imaginary parts of its azimuthal spectrum at m, and one row-wise
+irfft gives the level exactly. Both models keep only the spectrum's used
+columns (up to the band's largest order or last-axis |k|) and scan a level
+in blocks of rows, so a block's size is bounded whatever lambda is. No
+level keeps its grid: a wave's peak node is computed from its flat index.
 
 One scan of a level records each wave's max and min with their flat
 indices, and both statistics take their grid peaks from it: sup wave is
@@ -124,6 +134,18 @@ def _ladder(density: float) -> list[float]:
     return levels
 
 
+def _smooth(n: int) -> int:
+    """The least 5-smooth number (no prime factor above 5) >= n."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
 def _ring_nodes(rings: int, index) -> np.ndarray:
     """Nodes at the flat (ring j, azimuth k) C-order index of the grid with
     colatitudes (j + 1/2) pi / rings and azimuths pi k / rings, k < 2 rings."""
@@ -132,18 +154,21 @@ def _ring_nodes(rings: int, index) -> np.ndarray:
     return np.stack([np.sin(T) * np.cos(F), np.sin(T) * np.sin(F), np.cos(T)], axis=-1)
 
 
-# grid entries per block of waves in one level's inverse FFT
+# A level's inverse FFT runs in blocks: of waves, up to _CHUNK grid entries
+# per block, and within one wave of rows, up to _CHUNK spectrum entries
+# (rows x used columns) per block
 _CHUNK = 1 << 16
 
 
 class _SupLevels:
     """Grid shapes for one band and the scan of each level.
 
-    Torus levels place the coefficients on the frequency lattice; sphere
-    levels hold one real (rings x (l + 1)) table of the band's single degree
-    l, as the module docstring says. Either way a level's values are one
-    inverse FFT per block. The object keeps each level's extrema (four
-    numbers per wave, no level values) for the last matrix it scanned.
+    A level's values come from its spectrum, one real inverse FFT per row:
+    sphere rings from one real (rings x (l + 1)) table of the band's single
+    degree l, as the module docstring says, and torus last-axis rows from
+    basis.torus_half_spectrum. A spectrum keeps only its used columns. The
+    object keeps each level's extrema (four numbers per wave, no level
+    values) for the last matrix it scanned.
     """
 
     def __init__(self, band: Band, density: float):
@@ -154,8 +179,8 @@ class _SupLevels:
         if self.model.kind == SPHERE2:
             # a band (lam, lam + 1] holds one degree l, with orders m = -l..l in turn
             self._degree = l = band.modes[0].label[0]
-            # N = ceil(lam_bar d / 2) >= 2 lam_bar > l: no order reaches the Nyquist bin N
-            self.shapes = [(math.ceil(math.pi / s),) for s in self.spacings]
+            # N >= ceil(lam_bar d / 2) >= 2 lam_bar > l: no order reaches the Nyquist bin N
+            self.shapes = [(_smooth(math.ceil(math.pi / s)),) for s in self.spacings]
             self.sizes = [2 * n * n for n, in self.shapes]
             # at azimuth 0 (each ring's first point) the cos mode of order m is
             # sqrt(2) Pbar_l^m(theta), or Pbar_l^0 for m = 0; irfft halves the
@@ -165,7 +190,8 @@ class _SupLevels:
                                            _ring_nodes(n, 2 * n * np.arange(n))) * (n * weight)
                             for n, in self.shapes]
         else:
-            self.shapes = [tuple(max(1, math.ceil(L / s)) for L in self.model.side_lengths)
+            self.shapes = [tuple(_smooth(max(1, math.ceil(L / s)))
+                                 for L in self.model.side_lengths)
                            for s in self.spacings]
             self.sizes = [math.prod(c) for c in self.shapes]
         self.grid_points = sum(self.sizes)
@@ -178,32 +204,69 @@ class _SupLevels:
             return _ring_nodes(self.shapes[li][0], index)
         return mf.product_grid_nodes(self.model, self.shapes[li], index)
 
-    def _level_values(self, li: int, Ab: np.ndarray) -> np.ndarray:
-        """Values of the coefficient columns Ab on level li: (waves, grid points)."""
-        shape = self.shapes[li]
+    def _spectrum(self, li: int, Ab: np.ndarray) -> np.ndarray:
+        """Level li's spectrum of the coefficient columns Ab: (waves, rows,
+        used columns), complex."""
         if self.model.kind == SPHERE2:
-            rings, l, table = shape[0], self._degree, self._tables[li]
+            l, table = self._degree, self._tables[li]
             # a_m cos + a_-m sin = Re((a_m - i a_-m) e^{i m phi})
-            spec = np.zeros((Ab.shape[1], rings, rings + 1), dtype=complex)
-            np.multiply(table, Ab[l:].T[:, None, :], out=spec.real[..., :l + 1])
+            spec = np.zeros((Ab.shape[1], *table.shape), dtype=complex)
+            np.multiply(table, Ab[l:].T[:, None, :], out=spec.real)
             np.multiply(table[:, 1:], -Ab[l - 1::-1].T[:, None, :],
-                        out=spec.imag[..., 1:l + 1])
-            return np.fft.irfft(spec, n=2 * rings, axis=2).reshape(-1, self.sizes[li])
-        return bs.torus_grid_values(self.model, self.band.modes, Ab, shape)
+                        out=spec.imag[..., 1:])
+            return spec
+        return bs.torus_half_spectrum(self.model, self.band.modes, Ab, self.shapes[li])
+
+    def _row_values(self, li: int, half: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Grid values, into out, of a block of rows of level li's half
+        spectrum, the used columns padded with zeros to row length // 2 + 1:
+        (..., row length)."""
+        if self.model.kind == SPHERE2:
+            return np.fft.irfft(half, n=2 * self.shapes[li][0], axis=-1, out=out)
+        return bs.torus_row_values(self.model, half, self.shapes[li], out)
 
     def _level_extrema(self, li: int, A: np.ndarray):
         """Flat index (2 x waves) and value (2 x waves) of each wave's max
-        (row 0) and min (row 1) on level li."""
+        (row 0) and min (row 1) on level li.
+
+        Blocks of rows come in flat-index order, and a later block takes
+        over only on a strict > (max) or < (min), so a tie keeps the lower
+        index, as one argmax over the whole level would. One zero-padded
+        spectrum block and one values block serve the whole level: reused,
+        they cost no fresh pages per block (a fresh values array per wave
+        put 3 MiB on the peak resident size of the lambda 40 torus ladder).
+        """
         n_waves = A.shape[1]
         at = np.empty((2, n_waves), dtype=np.intp)
         vals = np.empty((2, n_waves))
         block = max(1, _CHUNK // self.sizes[li])
+        half = None
         for b in range(0, n_waves, block):
-            V = self._level_values(li, A[:, b:b + block])
-            rows = np.arange(len(V))
-            for i, arg in enumerate((V.argmax, V.argmin)):
-                at[i, b:b + block] = arg(axis=1)
-                vals[i, b:b + block] = V[rows, at[i, b:b + block]]
+            waves = slice(b, b + block)
+            spec = self._spectrum(li, A[:, waves])
+            n_rows, width = spec.shape[1:]
+            row_len = self.sizes[li] // n_rows
+            step = max(1, _CHUNK // width)
+            if half is None:
+                shape = (len(spec), min(step, n_rows))
+                half = np.zeros((*shape, row_len // 2 + 1), dtype=complex)
+                values = np.empty((*shape, row_len))
+            for r in range(0, n_rows, step):
+                buf = half[:len(spec), :min(step, n_rows - r)]
+                buf[..., :width] = spec[:, r:r + step]
+                if r + step >= n_rows:
+                    del spec  # spent: it need not outlive the last block's values
+                V = self._row_values(li, buf, values[:len(buf), :buf.shape[1]])
+                V = V.reshape(len(buf), -1)
+                cols = np.arange(len(V))
+                for i, (arg, beats) in enumerate(((V.argmax, np.greater),
+                                                  (V.argmin, np.less))):
+                    j = arg(axis=1)
+                    v = V[cols, j]
+                    best_at, best = at[i, waves], vals[i, waves]
+                    take = beats(v, best) | (r == 0)
+                    best_at[take] = j[take] + r * row_len
+                    best[take] = v[take]
         return at, vals
 
     def _scan(self, A: np.ndarray) -> list:
@@ -215,22 +278,45 @@ class _SupLevels:
                                   for li in range(len(self.sizes))]
         return self._scanned[1]
 
-    def _values_at(self, P: np.ndarray, V: np.ndarray, A: np.ndarray,
+    def _values_at(self, P: np.ndarray, V: np.ndarray, As: list,
                    use_abs: bool) -> np.ndarray:
-        """Wave w at exp_map(P[w], V[w, s]) for every stencil row s: (waves, s)."""
-        n_waves, n_steps, n = V.shape
+        """Each row's wave at exp_map(P[r], V[r, s]) for every stencil step s:
+        (rows, steps). The rows run over the columns of the matrices As in
+        turn, one matrix per level."""
+        n_rows, n_steps, n = V.shape
         pts = mf.exp_map_rows(self.model, np.repeat(P, n_steps, axis=0), V.reshape(-1, n))
-        M = bs.mode_matrix(self.model, self.band.modes, pts)
-        vals = np.einsum("wsm,mw->ws", M.reshape(n_waves, n_steps, -1), A)
+        cuts = np.cumsum([0] + [Al.shape[1] for Al in As]) * n_steps
+        if self.model.kind == SPHERE2:
+            # a sphere row depends on its point alone: one call serves every level
+            M = bs.mode_matrix(self.model, self.band.modes, pts)
+            Ms = [M[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+        else:
+            # torus phases are a BLAS product, whose rounding depends on its
+            # row count: one call per level
+            Ms = [bs.mode_matrix(self.model, self.band.modes, pts[lo:hi])
+                  for lo, hi in zip(cuts, cuts[1:])]
+        # one product per level too, as einsum's summation order depends on
+        # the number and layout of the columns it is given: each level's
+        # values are those of a refinement of that level alone
+        n_modes = len(self.band.modes)
+        vals = np.concatenate([np.einsum("wsm,mw->ws", Ml.reshape(-1, n_steps, n_modes), Al)
+                               for Ml, Al in zip(Ms, As)])
         return np.abs(vals) if use_abs else vals
 
-    def _refined(self, P: np.ndarray, f0: np.ndarray, h: float, A: np.ndarray,
+    def _refined(self, P: np.ndarray, f0: np.ndarray, h: np.ndarray, A: np.ndarray,
                  use_abs: bool) -> np.ndarray:
-        """Best value per wave on a +-h stencil around its peak P[w] (value
-        f0[w]) and at the vertex of the per-axis parabola through it."""
-        n_waves, n = len(P), self.model.dim
-        steps = np.stack([h * np.eye(n), -h * np.eye(n)], axis=1).reshape(2 * n, n)
-        fm = self._values_at(P, np.broadcast_to(steps, (n_waves, 2 * n, n)), A, use_abs)
+        """Best value per row on a +-h[r] stencil around the peak P[r] (value
+        f0[r]) and at the vertex of the per-axis parabola through it.
+
+        Row r is the peak of wave r % waves on level r // waves: one stencil
+        call and one candidate call refine every level's peaks.
+        """
+        n_rows, n = len(P), self.model.dim
+        n_waves = A.shape[1]
+        n_levels = n_rows // n_waves
+        h = h[:, None]
+        steps = h[:, :, None] * np.stack([np.eye(n), -np.eye(n)], axis=1).reshape(2 * n, n)
+        fm = self._values_at(P, steps, [A] * n_levels, use_abs)
         best = fm.max(axis=1)
         fp, fn = fm[:, 0::2], fm[:, 1::2]
         den = fp + fn - 2.0 * f0[:, None]
@@ -242,19 +328,23 @@ class _SupLevels:
             cands = t[moving, None, :]
             if n > 1:
                 cands = np.concatenate([cands, cands * np.eye(n)], axis=1)
-            vals = self._values_at(P[moving], cands, A[:, moving], use_abs)
+            level, wave = np.divmod(moving, n_waves)
+            As = [A[:, wave[level == li]] for li in range(n_levels)]
+            vals = self._values_at(P[moving], cands, As, use_abs)
             best[moving] = np.maximum(best[moving], vals.max(axis=1))
         return best
 
     def batch_sups(self, A: np.ndarray, use_abs: bool = True):
         """Sups for the coefficient columns of A, and each level's grid peaks
-        (levels x waves); scan and refinement batched over the waves.
+        (levels x waves); scan and refinement batched over the waves, and the
+        refinement over the levels too.
 
         The grid peak is the max, or with use_abs the extremum of larger
         magnitude, the lower flat index on a tie. The level scan is reused
         when A equals the last scanned matrix; the refinement always runs.
         """
-        cols = np.arange(A.shape[1])
+        n_waves = A.shape[1]
+        cols = np.arange(n_waves)
         peaks, points = [], []
         for li, (at, vals) in enumerate(self._scan(A)):
             row = 0
@@ -264,10 +354,11 @@ class _SupLevels:
                        | ((vals[1] == vals[0]) & (at[1] < at[0]))).astype(np.intp)
             peaks.append(vals[row, cols])
             points.append(self.nodes(li, at[row, cols]))
-        sups = np.max(peaks, axis=0)
-        for P, f0, h in zip(points, peaks, self.spacings):
-            np.maximum(sups, self._refined(P, f0, h, A, use_abs), out=sups)
-        return sups, np.array(peaks)
+        peaks = np.array(peaks)
+        refined = self._refined(np.concatenate(points), peaks.ravel(),
+                                np.repeat(self.spacings, n_waves), A, use_abs)
+        sups = np.maximum(peaks.max(axis=0), refined.reshape(peaks.shape).max(axis=0))
+        return sups, peaks
 
 
 def _levels_for(band: Band, density: float) -> _SupLevels:

@@ -21,6 +21,7 @@ except ImportError:  # older scipy
 
 import eigenband
 from eigenband import basis as bs
+from eigenband import embed as em
 from eigenband import manifold as mf
 from eigenband import specfun as sf
 from eigenband import spectrum as sp
@@ -225,6 +226,19 @@ def test_torus_grid_values_empty_modes():
     assert V.shape == (3, 20)
     assert np.array_equal(V, ref)
     assert np.array_equal(V, _full_half_lattice_values(model, [], A, (4, 5)))
+
+
+@pytest.mark.parametrize("sides,lam,grid_size", [
+    ((2.0 * math.pi, 2.0 * math.pi), 40.0, 250000),
+    ((2.0 * math.pi, 1.5 * math.pi), 9.0, 2000),
+    ((3.0, 4.0, 5.0), 6.0, 5000),
+    ((2.0 * math.pi,), 30.0, 500),
+])
+def test_torus_diameter_equals_full_half_lattice_route(sides, lam, grid_size, monkeypatch):
+    emb = em.make_embedding(mf.flat_torus(sides), lam)
+    got = em.diameter_estimate(emb, grid_size)
+    monkeypatch.setattr(bs, "torus_grid_values", _full_half_lattice_values)
+    assert got == em.diameter_estimate(emb, grid_size)
 
 
 def _fd_gradient(model, modes, x, h=1e-6):

@@ -243,3 +243,42 @@ def test_emit_report_never_reuses_a_name(tmp_path, monkeypatch):
     assert sorted(map(str, csvs)) == sorted(paths + [str(taken)])
     assert len(list(tmp_path.glob("*.json"))) == 2
     assert taken.read_text() == "keep\n"
+
+
+@pytest.mark.parametrize("subcommand", ["weyl", "band", "lipschitz", "supnorm", "diameter"])
+@pytest.mark.parametrize("lams", ["20,20", "3,20,20.0000001"])
+def test_repeated_lambda_key_exits_config(tmp_path, capsys, subcommand, lams):
+    # the JSON summary keys each lambda by f"{lam:g}": a repeat would keep one
+    assert _run([subcommand, "--lambdas", lams, "--out", str(tmp_path)]) \
+        == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "repeats" in err and err.count("\n") == 1
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_supnorm_summary_fits_the_loglog_slope(tmp_path):
+    assert _run(["supnorm", "--lambdas", "2,6,9,12", "--samples", "4", "--seed", "2",
+                 "--grid-density", "4", "--out", str(tmp_path)]) == 0
+    summary = json.loads(_newest(tmp_path, ".json").read_text())["summary"]
+    with open(_newest(tmp_path, ".csv"), newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == ["model", "lam", "mean_sup", "std_error", "samples",
+                             "grid_points", "sup_bound_general", "sup_bound_aperiodic",
+                             "ratio_vs_sqrt_log"]
+    fit = summary["loglog_fit"]
+    # lambda 2 is below e, so three points
+    assert fit["lambdas"] == [6.0, 9.0, 12.0]
+    x = [math.log(math.log(float(r["lam"]))) for r in rows[1:]]
+    y = [math.log(float(r["mean_sup"])) for r in rows[1:]]
+    from scipy.stats import linregress
+
+    want = linregress(x, y)
+    assert fit["slope"] == pytest.approx(want.slope, rel=1e-9)
+    assert fit["std_error"] == pytest.approx(want.stderr, rel=1e-9)
+    for lam in ("2", "6", "9", "12"):
+        assert summary[f"lam{lam}"]["seconds"] >= 0.0
+    two = cli._loglog_fit([3.0, 9.0], [1.0, 1.2])
+    rise = math.log(math.log(9.0) / math.log(3.0))
+    assert two["slope"] == pytest.approx(math.log(1.2) / rise)
+    assert math.isnan(two["std_error"])
+    assert math.isnan(cli._loglog_fit([9.0], [1.0])["slope"])

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -210,11 +211,29 @@ def test_sphere_ring_scan_matches_mode_matrix_scan(lam, density, use_abs):
     _scan_matches_mode_matrix_scan(SPHERE, lam, density, use_abs)
 
 
+def _is_5_smooth(n):
+    # trial division: no prime factor above 5
+    largest, p = 1, 2
+    while p * p <= n:
+        while n % p == 0:
+            largest, n = p, n // p
+        p += 1
+    return max(largest, n) <= 5
+
+
+def test_smooth_counts_brute_force():
+    for n in range(1, 2001):
+        want = next(m for m in itertools.count(n) if _is_5_smooth(m))
+        assert wv._smooth(n) == want
+
+
 def test_sphere_ring_grid_is_equiangular():
     band = sp.enumerate_band(SPHERE, 20.0)
     levels = wv._SupLevels(band, 8.0)
     for (rings,), C, h in zip(levels.shapes, _level_grids(levels), levels.spacings):
-        assert rings == math.ceil(math.pi / h)
+        # the least 5-smooth count of at least ceil(pi / h) rings
+        least = math.ceil(math.pi / h)
+        assert rings == next(n for n in itertools.count(least) if _is_5_smooth(n))
         assert max(l for l, _ in (m.label for m in band.modes)) < rings
         theta = np.arccos(C[::2 * rings, 2])
         np.testing.assert_allclose(theta, (np.arange(rings) + 0.5) * math.pi / rings,
@@ -278,10 +297,11 @@ def test_sphere_levels_keep_real_tables():
     assert kept < sum(n * (l + 1) * 8 for n, in levels.shapes) + (64 << 10)
 
 
-def _complex_table_values(levels):
-    """Level values by complex per-mode tables: each mode's column at azimuth
+def _complex_table_spectrum(levels):
+    """Level spectra by complex per-mode tables: each mode's column at azimuth
     0 times its weight, 2 or 1 for cos and -i for sin, sorted stably by |m|
-    and summed into the azimuthal spectrum by np.add.reduceat."""
+    and summed into the full azimuthal spectrum (rings + 1 columns) by
+    np.add.reduceat."""
     labels = [mode.label for mode in levels.band.modes]
     orders = np.array([abs(m) for _, m in labels])
     order_sort = np.argsort(orders, kind="stable")
@@ -293,14 +313,14 @@ def _complex_table_values(levels):
                              wv._ring_nodes(n, 2 * n * np.arange(n)))
               [:, cos_of][:, order_sort] * (n * weight) for n, in levels.shapes]
 
-    def values(li, Ab):
+    def spectrum(li, Ab):
         rings, = levels.shapes[li]
         terms = tables[li][None, :, :] * Ab[order_sort].T[:, None, :]
         spec = np.zeros((Ab.shape[1], rings, rings + 1), dtype=complex)
         spec[:, :, present] = np.add.reduceat(terms, starts, axis=2)
-        return np.fft.irfft(spec, n=2 * rings, axis=2).reshape(-1, levels.sizes[li])
+        return spec
 
-    return values
+    return spectrum
 
 
 @pytest.mark.parametrize("lam", [2.5, 12.0, 40.0, 80.0])
@@ -314,7 +334,7 @@ def test_sphere_ring_scan_equals_complex_table_route(lam, use_abs, monkeypatch):
     sups, peaks = levels.batch_sups(A, use_abs)
     # a fresh level object, so that the scan of A is not reused
     levels = wv._SupLevels(band, 10.0)
-    monkeypatch.setattr(levels, "_level_values", _complex_table_values(levels))
+    monkeypatch.setattr(levels, "_spectrum", _complex_table_spectrum(levels))
     want_sups, want_peaks = levels.batch_sups(A, use_abs)
     assert np.array_equal(sups, want_sups)
     assert np.array_equal(peaks, want_peaks)
@@ -365,16 +385,16 @@ def _cold_sup(model, lam, n_samples, seed, statistic):
     return wv.expected_sup(model, lam, n_samples, 6.0, seed=seed, statistic=statistic)
 
 
-def _counting_level_values(monkeypatch):
-    # counts the level scans of every later call
+def _counting_level_scans(monkeypatch):
+    # counts the level scans of every later call: one spectrum per block of waves
     calls = []
-    scan = wv._SupLevels._level_values
+    spectrum = wv._SupLevels._spectrum
 
     def counted(self, li, Ab):
         calls.append(li)
-        return scan(self, li, Ab)
+        return spectrum(self, li, Ab)
 
-    monkeypatch.setattr(wv._SupLevels, "_level_values", counted)
+    monkeypatch.setattr(wv._SupLevels, "_spectrum", counted)
     return calls
 
 
@@ -382,7 +402,7 @@ def _counting_level_values(monkeypatch):
 @pytest.mark.parametrize("first,second", [("max", "abs"), ("abs", "max")])
 def test_second_statistic_reuses_the_level_scan(model, lam, first, second, monkeypatch):
     cold = [_cold_sup(model, lam, 8, 5, stat) for stat in (first, second)]
-    scans = _counting_level_values(monkeypatch)
+    scans = _counting_level_scans(monkeypatch)
     wv._LEVEL_CACHE.clear()
     warm, scanned = [], []
     for stat in (first, second):
@@ -403,7 +423,7 @@ def test_other_waves_are_scanned_again(model, lam, monkeypatch):
             "between": _cold_sup(model, lam, 8, 5, "abs")}
     wv._LEVEL_CACHE.clear()
     want_single = wv.sup_norm(wave, 6.0)
-    scans = _counting_level_values(monkeypatch)
+    scans = _counting_level_scans(monkeypatch)
     wv._LEVEL_CACHE.clear()
     got = {}
     for key, (seed, n_samples) in {"seed": (6, 8), "samples": (5, 9)}.items():
@@ -428,7 +448,7 @@ def test_abs_peak_tie_takes_the_lower_index(coefficient, monkeypatch):
     A = np.zeros((band.m_lambda, 1))
     A[[m.label for m in band.modes].index(((0, 6), "sin"))] = coefficient
     levels = wv._SupLevels(band, 4.0)
-    V = levels._level_values(0, A)[0]
+    V = bs.torus_grid_values(TORUS, band.modes, A, levels.shapes[0])[0]
     assert V.max() == -V.min()
     peaks = []
     nodes = levels.nodes
@@ -439,3 +459,106 @@ def test_abs_peak_tie_takes_the_lower_index(coefficient, monkeypatch):
     assert level_peaks[0, 0] == np.abs(V).max()
     levels.batch_sups(A, use_abs=False)
     assert peaks[1][0] == V.argmax()
+
+
+def test_sphere_sup_norm_monotone_in_density():
+    # every level's ring count is rounded up here: 41 -> 45, 82 -> 90, ...
+    band = sp.enumerate_band(SPHERE, 20.0)
+    for i in range(3):
+        w = wv.sample_wave(band, 6, i)
+        s = [wv.sup_norm(w, d) for d in (4.0, 8.0, 16.0, 32.0)]
+        assert s == sorted(s)
+
+
+@pytest.mark.parametrize("model,lam", [
+    (SPHERE, 12.0), (SPHERE, 40.0), (mf.flat_torus((2.0 * math.pi,)), 30.0),
+    (mf.flat_torus((2.0 * math.pi, 3.7)), 12.0), (mf.flat_torus((2.0, 2.5, 3.0)), 3.0),
+])
+@pytest.mark.parametrize("use_abs", [True, False])
+def test_batched_refinement_equals_per_level_loop(model, lam, use_abs, monkeypatch):
+    band = sp.enumerate_band(model, lam)
+    levels = wv._SupLevels(band, 16.0)
+    calls = []
+    refined = levels._refined
+    monkeypatch.setattr(levels, "_refined",
+                        lambda *args: calls.append(args) or refined(*args))
+    for n_waves in (1, 9):
+        A = np.stack([wv.sample_wave(band, 17, i).coefficients for i in range(n_waves)],
+                     axis=1)
+        del calls[:]
+        sups, peaks = levels.batch_sups(A, use_abs)
+        (P, f0, h, A_, _), = calls
+        assert A_ is A
+        batched = refined(P, f0, h, A, use_abs)
+        # each level alone, with its own spacing, as one call per level
+        per_level = []
+        for li, spacing in enumerate(levels.spacings):
+            rows = slice(li * n_waves, (li + 1) * n_waves)
+            assert np.all(h[rows] == spacing)
+            per_level.append(refined(P[rows], f0[rows], np.full(n_waves, spacing), A,
+                                     use_abs))
+        assert np.array_equal(batched, np.concatenate(per_level))
+        assert np.array_equal(sups, np.maximum(peaks.max(axis=0),
+                                               np.max(per_level, axis=0)))
+
+
+def _single_sin_mode(band, label, coefficient):
+    A = np.zeros((band.m_lambda, 1))
+    A[[m.label for m in band.modes].index(label)] = coefficient
+    return A
+
+
+@pytest.mark.parametrize("model,lam,A", [
+    # a 1-torus level is a single row, so it has no row blocks
+    (SPHERE, 12.0, None), (SPHERE, 40.0, None), (TORUS, 9.0, None),
+    (mf.flat_torus((2.0 * math.pi, 3.7)), 12.0, None),
+    (mf.flat_torus((2.0, 2.5, 3.0)), 3.0, None),
+    # one sin mode, constant along the first axis: its max and min tie across
+    # every row block, and |max| ties |min|
+    (TORUS, 5.0, _single_sin_mode(sp.enumerate_band(TORUS, 5.0), ((0, 6), "sin"), 0.7)),
+    (TORUS, 5.0, _single_sin_mode(sp.enumerate_band(TORUS, 5.0), ((0, 6), "sin"), -0.7)),
+])
+@pytest.mark.parametrize("use_abs", [True, False])
+def test_row_blocks_equal_the_whole_level_scan(model, lam, A, use_abs, monkeypatch):
+    band = sp.enumerate_band(model, lam)
+    if A is None:
+        A = np.stack([wv.sample_wave(band, 3, i).coefficients for i in range(5)], axis=1)
+    levels = wv._SupLevels(band, 8.0)
+    monkeypatch.setattr(wv, "_CHUNK", 1 << 40)
+    whole = levels.batch_sups(A, use_abs)
+    whole_scan = levels._scan(A)
+    widths = [levels._spectrum(li, A[:, :1]).shape[2] for li in range(len(levels.sizes))]
+    for rows_per_block in (1, 3, 7):
+        # one wave per block, and rows_per_block rows of every level per block
+        monkeypatch.setattr(wv, "_CHUNK", rows_per_block * max(widths))
+        assert all(wv._CHUNK <= size for size in levels.sizes)
+        blocked = wv._SupLevels(band, 8.0)
+        got = blocked.batch_sups(A, use_abs)
+        assert np.array_equal(got[0], whole[0])
+        assert np.array_equal(got[1], whole[1])
+        for (at, vals), (want_at, want_vals) in zip(blocked._scan(A), whole_scan):
+            assert np.array_equal(at, want_at)
+            assert np.array_equal(vals, want_vals)
+
+
+def test_batched_refinement_with_a_level_that_does_not_move(monkeypatch):
+    # level 0's points sit on a zero line of cos(6 y), where |wave| is least
+    # across and flat along: no parabola opens downward, so no candidate
+    # call has a column of level 0
+    band = sp.enumerate_band(TORUS, 5.0)
+    A = np.zeros((band.m_lambda, 2))
+    A[[m.label for m in band.modes].index(((0, 6), "cos")), :] = [0.7, -0.4]
+    levels = wv._SupLevels(band, 8.0)
+    y0 = 2.0 * math.pi / 24.0
+    P = np.array([[0.0, y0], [1.0, y0], [0.3, 0.2], [1.1, 0.05]])
+    f0 = np.abs(bs.mode_matrix(TORUS, band.modes, P) @ A)[[0, 1, 2, 3], [0, 1, 0, 1]]
+    h = np.repeat(levels.spacings, 2)
+    calls = []
+    values_at = levels._values_at
+    monkeypatch.setattr(levels, "_values_at", lambda P, V, As, use_abs: calls.append(
+        [Al.shape[1] for Al in As]) or values_at(P, V, As, use_abs))
+    batched = levels._refined(P, f0, h, A, True)
+    assert calls[0] == [2, 2] and calls[1][0] == 0 < sum(calls[1])
+    per_level = [levels._refined(P[rows], f0[rows], h[rows], A, True)
+                 for rows in (slice(0, 2), slice(2, 4))]
+    assert np.array_equal(batched, np.concatenate(per_level))
