@@ -2,7 +2,8 @@
 
 Real basis throughout: cos/sin pairs on the torus, real spherical harmonics
 on the sphere (no Condon-Shortley phase). Gradients are returned in the
-orthonormal tangent frame of manifold.tangent_frame.
+orthonormal tangent frame of manifold.tangent_frame. Torus phases k.x add
+one axis at a time, so a point's row is the same bits in any batch.
 
 Sphere values climb the normalized Legendre recurrence for all orders of a
 degree at once, O(l) array steps per degree over blocks of points, with the
@@ -182,15 +183,24 @@ def _torus_labels(model: ManifoldModel, modes) -> tuple[np.ndarray, np.ndarray]:
     return K, is_cos
 
 
-def _torus_value_matrix(model: ManifoldModel, modes, coords: np.ndarray) -> np.ndarray:
+def _torus_phases(model: ManifoldModel, modes, coords: np.ndarray):
+    """W (modes x dim), cos mask and phases k.x (points x modes) of the torus
+    modes at the coordinate rows, added one axis at a time: a BLAS product's
+    rounding would depend on its row count."""
     K, is_cos = _torus_labels(model, modes)
     W = 2.0 * math.pi * K / np.array(model.side_lengths)
-    amp = math.sqrt(2.0 / model.volume)
-    phase = coords @ W.T
-    out = np.empty_like(phase)
-    out[:, is_cos] = np.cos(phase[:, is_cos])
-    out[:, ~is_cos] = np.sin(phase[:, ~is_cos])
-    return amp * out
+    phase = coords[:, :1] * W[:, 0]
+    for i in range(1, model.dim):
+        phase += coords[:, i:i + 1] * W[:, i]
+    return W, is_cos, phase
+
+
+def _torus_value_matrix(model: ManifoldModel, modes, coords: np.ndarray) -> np.ndarray:
+    _, is_cos, phase = _torus_phases(model, modes, coords)
+    phase[:, is_cos] = np.cos(phase[:, is_cos])
+    phase[:, ~is_cos] = np.sin(phase[:, ~is_cos])
+    phase *= math.sqrt(2.0 / model.volume)
+    return phase
 
 
 def mode_matrix(model: ManifoldModel, modes, coords: np.ndarray) -> np.ndarray:
@@ -290,12 +300,9 @@ def gradient_matrix(model: ManifoldModel, modes, x: Point) -> np.ndarray:
         amb = _sphere_gradient_ambient(modes, xc[None, :])[0]
         frame = mf.tangent_frame(model, x)
         return amb @ frame.T
-    K, is_cos = _torus_labels(model, modes)
-    W = 2.0 * math.pi * K / np.array(model.side_lengths)
-    amp = math.sqrt(2.0 / model.volume)
-    phase = W @ xc
-    scale = np.where(is_cos, -np.sin(phase), np.cos(phase))
-    return amp * scale[:, None] * W
+    W, is_cos, phase = _torus_phases(model, modes, xc[None, :])
+    scale = np.where(is_cos, -np.sin(phase[0]), np.cos(phase[0]))
+    return math.sqrt(2.0 / model.volume) * scale[:, None] * W
 
 
 def eval_mode(model: ManifoldModel, mode: Mode, x: Point) -> float:

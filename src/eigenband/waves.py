@@ -11,6 +11,10 @@ one stencil call and one candidate call. Running every ladder level, and
 keeping every level's refinement candidates, makes the estimate monotone
 nondecreasing in the requested density.
 
+A wave's sup depends only on the wave, not on the batch it is refined in:
+each refinement row sums its own mode_matrix row times its own wave's
+coefficients, so sup_norm(wave) equals its sup inside expected_sup.
+
 A level's point count per axis is the least 5-smooth number (no prime
 factor above 5) at or above what its spacing asks for, so that every
 inverse FFT has a fast length. The count depends only on the level's
@@ -156,7 +160,8 @@ def _ring_nodes(rings: int, index) -> np.ndarray:
 
 # A level's inverse FFT runs in blocks: of waves, up to _CHUNK grid entries
 # per block, and within one wave of rows, up to _CHUNK spectrum entries
-# (rows x used columns) per block
+# (rows x used columns) per block. The refinement takes its mode_matrix
+# values in blocks of stencil rows, up to _CHUNK entries (points x modes).
 _CHUNK = 1 << 16
 
 
@@ -278,29 +283,19 @@ class _SupLevels:
                                   for li in range(len(self.sizes))]
         return self._scanned[1]
 
-    def _values_at(self, P: np.ndarray, V: np.ndarray, As: list,
+    def _values_at(self, P: np.ndarray, V: np.ndarray, C: np.ndarray,
                    use_abs: bool) -> np.ndarray:
-        """Each row's wave at exp_map(P[r], V[r, s]) for every stencil step s:
-        (rows, steps). The rows run over the columns of the matrices As in
-        turn, one matrix per level."""
+        """Each row's wave, with coefficients C[r], at exp_map(P[r], V[r, s])
+        for every stencil step s: (rows, steps); a row's values depend on it alone."""
         n_rows, n_steps, n = V.shape
         pts = mf.exp_map_rows(self.model, np.repeat(P, n_steps, axis=0), V.reshape(-1, n))
-        cuts = np.cumsum([0] + [Al.shape[1] for Al in As]) * n_steps
-        if self.model.kind == SPHERE2:
-            # a sphere row depends on its point alone: one call serves every level
-            M = bs.mode_matrix(self.model, self.band.modes, pts)
-            Ms = [M[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-        else:
-            # torus phases are a BLAS product, whose rounding depends on its
-            # row count: one call per level
-            Ms = [bs.mode_matrix(self.model, self.band.modes, pts[lo:hi])
-                  for lo, hi in zip(cuts, cuts[1:])]
-        # one product per level too, as einsum's summation order depends on
-        # the number and layout of the columns it is given: each level's
-        # values are those of a refinement of that level alone
-        n_modes = len(self.band.modes)
-        vals = np.concatenate([np.einsum("wsm,mw->ws", Ml.reshape(-1, n_steps, n_modes), Al)
-                               for Ml, Al in zip(Ms, As)])
+        vals = np.empty((n_rows, n_steps))
+        block = max(1, _CHUNK // (n_steps * C.shape[1]))
+        for r in range(0, n_rows, block):
+            M = bs.mode_matrix(self.model, self.band.modes,
+                               pts[r * n_steps:(r + block) * n_steps])
+            M = M.reshape(-1, n_steps, C.shape[1])
+            vals[r:r + block] = np.multiply(M, C[r:r + block, None, :], out=M).sum(axis=2)
         return np.abs(vals) if use_abs else vals
 
     def _refined(self, P: np.ndarray, f0: np.ndarray, h: np.ndarray, A: np.ndarray,
@@ -311,12 +306,11 @@ class _SupLevels:
         Row r is the peak of wave r % waves on level r // waves: one stencil
         call and one candidate call refine every level's peaks.
         """
-        n_rows, n = len(P), self.model.dim
-        n_waves = A.shape[1]
-        n_levels = n_rows // n_waves
+        n = self.model.dim
+        C = np.tile(A.T, (len(P) // A.shape[1], 1))
         h = h[:, None]
         steps = h[:, :, None] * np.stack([np.eye(n), -np.eye(n)], axis=1).reshape(2 * n, n)
-        fm = self._values_at(P, steps, [A] * n_levels, use_abs)
+        fm = self._values_at(P, steps, C, use_abs)
         best = fm.max(axis=1)
         fp, fn = fm[:, 0::2], fm[:, 1::2]
         den = fp + fn - 2.0 * f0[:, None]
@@ -328,9 +322,7 @@ class _SupLevels:
             cands = t[moving, None, :]
             if n > 1:
                 cands = np.concatenate([cands, cands * np.eye(n)], axis=1)
-            level, wave = np.divmod(moving, n_waves)
-            As = [A[:, wave[level == li]] for li in range(n_levels)]
-            vals = self._values_at(P[moving], cands, As, use_abs)
+            vals = self._values_at(P[moving], cands, C[moving], use_abs)
             best[moving] = np.maximum(best[moving], vals.max(axis=1))
         return best
 

@@ -170,6 +170,20 @@ def test_torus_values_by_formula():
         assert np.allclose(V[:, j], ref, atol=1e-13)
 
 
+@pytest.mark.parametrize("sides,lam", [
+    ((2.0 * math.pi, 3.7), 12.0), ((2.0 * math.pi, 2.0 * math.pi), 40.0),
+    ((2.0, 2.5, 3.0), 8.0),
+])
+def test_torus_rows_do_not_depend_on_the_batch(sides, lam):
+    model = mf.flat_torus(sides)
+    band = sp.enumerate_band(model, lam)
+    rng = np.random.Generator(np.random.Philox(8))
+    coords = rng.uniform(0.0, 1.0, (40, model.dim)) * np.array(sides)
+    V = bs.mode_matrix(model, band.modes, coords)
+    for i in range(len(coords)):
+        assert np.array_equal(bs.mode_matrix(model, band.modes, coords[i:i + 1]), V[i:i + 1])
+
+
 def _full_half_lattice_values(model, modes, A, counts):
     """torus_grid_values with the complex inverse FFTs over every column of
     the Hermitian half lattice, not only the band's."""

@@ -110,8 +110,11 @@ def test_batch_matches_individual():
     band = sp.enumerate_band(SPHERE, 12.0)
     waves = [wv.sample_wave(band, 9, i) for i in range(5)]
     singles = [wv.sup_norm(w, 6.0) for w in waves]
+    A = np.stack([w.coefficients for w in waves], axis=1)
+    sups, _ = wv._levels_for(band, 6.0).batch_sups(A, use_abs=True)
+    assert np.array_equal(sups, singles)
     est = wv.expected_sup(SPHERE, 12.0, 5, 6.0, seed=9)
-    assert est.mean == pytest.approx(float(np.mean(singles)), abs=1e-10)
+    assert est.mean == float(np.mean(singles))
 
 
 def test_sup_norm_bound_values():
@@ -543,8 +546,8 @@ def test_row_blocks_equal_the_whole_level_scan(model, lam, A, use_abs, monkeypat
 
 def test_batched_refinement_with_a_level_that_does_not_move(monkeypatch):
     # level 0's points sit on a zero line of cos(6 y), where |wave| is least
-    # across and flat along: no parabola opens downward, so no candidate
-    # call has a column of level 0
+    # across and flat along: no parabola opens downward, so no row of level 0
+    # reaches the candidate call
     band = sp.enumerate_band(TORUS, 5.0)
     A = np.zeros((band.m_lambda, 2))
     A[[m.label for m in band.modes].index(((0, 6), "cos")), :] = [0.7, -0.4]
@@ -555,10 +558,32 @@ def test_batched_refinement_with_a_level_that_does_not_move(monkeypatch):
     h = np.repeat(levels.spacings, 2)
     calls = []
     values_at = levels._values_at
-    monkeypatch.setattr(levels, "_values_at", lambda P, V, As, use_abs: calls.append(
-        [Al.shape[1] for Al in As]) or values_at(P, V, As, use_abs))
+    monkeypatch.setattr(levels, "_values_at", lambda P, V, C, use_abs: calls.append(
+        (P, C)) or values_at(P, V, C, use_abs))
     batched = levels._refined(P, f0, h, A, True)
-    assert calls[0] == [2, 2] and calls[1][0] == 0 < sum(calls[1])
+    (P0, C0), (P1, C1) = calls
+    assert np.array_equal(P0, P) and np.array_equal(C0, np.tile(A.T, (2, 1)))
+    # every candidate row is a level-1 peak with its own wave's coefficients
+    peak_rows = np.array([np.flatnonzero((P == p).all(axis=1))[0] for p in P1])
+    assert peak_rows.size and np.all(peak_rows >= 2)
+    assert np.array_equal(C1, A.T[peak_rows % 2])
     per_level = [levels._refined(P[rows], f0[rows], h[rows], A, True)
                  for rows in (slice(0, 2), slice(2, 4))]
     assert np.array_equal(batched, np.concatenate(per_level))
+
+
+@pytest.mark.parametrize("model,lam", [
+    (SPHERE, 12.0), (SPHERE, 40.0), (SPHERE, 80.0), (mf.flat_torus((30.0,)), 12.0),
+    (mf.flat_torus((2.0 * math.pi, 3.7)), 12.0), (mf.flat_torus((2.0, 2.5, 3.0)), 3.0),
+])
+@pytest.mark.parametrize("use_abs", [True, False])
+def test_a_wave_sup_does_not_depend_on_its_batch(model, lam, use_abs):
+    band = sp.enumerate_band(model, lam)
+    levels = wv._SupLevels(band, 16.0)
+    coeffs = [wv.sample_wave(band, 17, i).coefficients for i in range(9)]
+    sups, peaks = levels.batch_sups(np.stack(coeffs, axis=1), use_abs)
+    # as expected_sup and sup_norm build their coefficient matrices
+    for cols in [slice(0, 8)] + [slice(i, i + 1) for i in range(9)]:
+        part_sups, part_peaks = levels.batch_sups(np.stack(coeffs[cols], axis=1), use_abs)
+        assert np.array_equal(part_sups, sups[cols])
+        assert np.array_equal(part_peaks, peaks[:, cols])
