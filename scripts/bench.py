@@ -16,14 +16,14 @@ makes one `--trace 1` run per workload on the first seed, for the per-layer
 metrics, one `eigenband verify` run, for the seconds of each acceptance
 criterion (read from its JSON report: verify exits 3 while a criterion
 fails), and one tier-1 run (`python -m pytest -q
---continue-on-collection-errors` on its own sources), for its wall time and
-its counts of passed and failed tests. The result is BENCH_<pr>.json at the
-repository root: the environment, every run's metrics, each side's traced
-metrics, criterion seconds, tier-1 run and source size (lines of every
-`*.py` under `src/`, as `wc -l` counts them) and, per workload, each side's
-median and quartiles of every end-to-end metric, the number of pairs in
-which the change read better, and a verdict on the change's median against
-the metric's bound.
+--continue-on-collection-errors` on its own sources), for its wall time,
+its counts of passed and failed tests and the node ids of the failed ones.
+The result is BENCH_<pr>.json at the repository root: the environment,
+every run's metrics, each side's traced metrics, criterion seconds, tier-1
+run and source size (lines of every `*.py` under `src/`, as `wc -l` counts
+them) and, per workload, each side's median and quartiles of every
+end-to-end metric, the number of pairs in which the change read better,
+and a verdict on the change's median against the metric's bound.
 
 Left out: the traced, verify and tier-1 runs are single runs, not paired
 medians, so they show where time went rather than prove a gain.
@@ -182,7 +182,8 @@ def parse_pytest_counts(stdout: str) -> dict:
 
 def _tier1(root: Path) -> dict:
     """One tier-1 run on root's sources, with one BLAS thread and no pytest
-    cache: its exit code, wall time and {outcome: count}."""
+    cache: its exit code, wall time, {outcome: count} and the node ids of
+    its failed tests."""
     cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
            "-p", "no:cacheprovider"]
     t0 = time.perf_counter()
@@ -193,7 +194,10 @@ def _tier1(root: Path) -> dict:
         print("bench: tier-1 timed out", file=sys.stderr)
         return {"exit": None}
     return {"exit": proc.returncode, "wall_s": time.perf_counter() - t0,
-            "counts": parse_pytest_counts(proc.stdout)}
+            "counts": parse_pytest_counts(proc.stdout),
+            # `pytest -q` may end a "FAILED <id>" line with " - <message>"
+            "failed_tests": [line[len("FAILED "):].split(" - ")[0]
+                             for line in proc.stdout.splitlines() if line.startswith("FAILED ")]}
 
 
 def src_lines(root: Path) -> int:

@@ -21,7 +21,7 @@ import numpy as np
 from . import manifold as mf
 from .manifold import SPHERE2, ManifoldModel, Point
 from .specfun import INV_SQRT_4PI, assoc_legendre_upward
-from .spectrum import Band, Mode
+from .spectrum import Band, Mode, torus_frequencies
 
 __all__ = [
     "eval_mode",
@@ -188,7 +188,7 @@ def _torus_phases(model: ManifoldModel, modes, coords: np.ndarray):
     modes at the coordinate rows, added one axis at a time: a BLAS product's
     rounding would depend on its row count."""
     K, is_cos = _torus_labels(model, modes)
-    W = 2.0 * math.pi * K / np.array(model.side_lengths)
+    W = torus_frequencies(model, K)
     phase = coords[:, :1] * W[:, 0]
     for i in range(1, model.dim):
         phase += coords[:, i:i + 1] * W[:, i]

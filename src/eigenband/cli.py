@@ -34,8 +34,6 @@ from . import waves as wv
 
 __all__ = ["ExperimentConfig", "Report", "run", "emit_report", "main"]
 
-SUBCOMMANDS = ("weyl", "band", "lipschitz", "profile", "isometry", "supnorm",
-               "dudley", "diameter", "covering", "claim", "verify")
 # these read cfg.lam alone, so a lams list would be silently dropped
 _ONE_LAMBDA = ("profile", "isometry", "dudley", "covering")
 
@@ -125,8 +123,8 @@ def _load_config(path, overrides: dict) -> ExperimentConfig:
     for name in ("samples", "pairs", "substrate", "eps_count"):
         if getattr(cfg, name) < 1:
             raise ConfigError(f"{name} must be >= 1")
-    if cfg.grid_density < 1:
-        raise ConfigError("grid_density must be >= 1")
+    if cfg.grid_density < wv.LADDER_BASE:
+        raise ConfigError(f"grid_density must be >= {wv.LADDER_BASE}")
     return cfg
 
 
@@ -264,16 +262,16 @@ def _loglog_fit(lams, means) -> dict:
 
 def _run_supnorm(cfg: ExperimentConfig):
     model = _model(cfg)
+    # every lambda's bound first: a bad lambda ends the run before any sup
+    bounds = [(lam, wv.sup_norm_bound(model, lam)) for lam in _lams(cfg)]
     rows = []
     summary = {}
     flags = {}
-    for lam in _lams(cfg):
+    for lam, bound in bounds:
         t0 = time.perf_counter()
-        est = wv.expected_sup(model, lam, cfg.samples, cfg.grid_density,
-                              cfg.seed)
+        est = wv.expected_sup(model, lam, cfg.samples, cfg.grid_density, cfg.seed)
         seconds = time.perf_counter() - t0
-        bound = wv.sup_norm_bound(model, lam)
-        ratio = est.mean / math.sqrt(math.log(lam)) if lam > 1 else math.nan
+        ratio = est.mean / math.sqrt(math.log(lam))
         rows.append((cfg.kind, lam, est.mean, est.std_error, est.samples,
                      est.grid_points, bound.general, bound.aperiodic, ratio))
         summary[f"lam{lam:g}"] = {"mean": est.mean, "std_error": est.std_error,
@@ -309,13 +307,12 @@ def _traversal_counts(curve) -> dict:
 def _run_dudley(cfg: ExperimentConfig):
     model = _model(cfg)
     lam = cfg.lam
+    # the sup-norm half first: its settings are checked before the curve is built
+    bound = wv.sup_norm_bound(model, lam)
+    signed, absolute = (wv.expected_sup(model, lam, cfg.samples, cfg.grid_density, cfg.seed,
+                                        statistic=statistic) for statistic in ("max", "abs"))
     curve = _band_curve(cfg, model, mf.quasi_uniform_grid(model, cfg.substrate), 24.0)
     report = en.dudley_report(curve)
-    signed = wv.expected_sup(model, lam, cfg.samples, cfg.grid_density,
-                             cfg.seed, statistic="max")
-    absolute = wv.expected_sup(model, lam, cfg.samples, cfg.grid_density,
-                               cfg.seed, statistic="abs")
-    bound = wv.sup_norm_bound(model, lam)
     rows = [(e, n) for e, n in curve.entries]
     header = ("epsilon", "net_size")
     abs_limit = 2.0 * signed.mean + 3.0 * math.hypot(2.0 * signed.std_error,
@@ -482,27 +479,17 @@ def _numbers(text: str) -> list:
 
 
 def _parser() -> argparse.ArgumentParser:
+    """One flag per ExperimentConfig field, typed by the field's default."""
     p = argparse.ArgumentParser(prog="eigenband",
                                 description="band-embedding experiment driver")
-    p.add_argument("subcommand", choices=SUBCOMMANDS)
+    p.add_argument("subcommand", choices=_RUNNERS)
     p.add_argument("--config", default=None, help="JSON config file")
-    p.add_argument("--kind", default=None, choices=("sphere2", "torus"))
-    p.add_argument("--side-lengths", type=_numbers, default=None,
-                   help="comma-separated torus side lengths")
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--lambdas", dest="lams", type=_numbers, default=None,
-                   metavar="LAMBDAS", help="comma-separated lambda list")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--pairs", type=int, default=None)
-    p.add_argument("--grid-density", type=float, default=None)
-    p.add_argument("--substrate", type=int, default=None)
-    p.add_argument("--eps-max", type=float, default=None)
-    p.add_argument("--eps-min", type=float, default=None)
-    p.add_argument("--eps-count", type=int, default=None)
-    p.add_argument("--a-values", type=_numbers, default=None,
-                   help="comma-separated a list")
-    p.add_argument("--out", default=None)
+    for f in dataclasses.fields(ExperimentConfig):
+        name = {"lam": "lambda", "lams": "lambdas"}.get(f.name, f.name).replace("_", "-")
+        listed = isinstance(f.default, tuple)
+        p.add_argument(f"--{name}", dest=f.name, default=None,
+                       type=_numbers if listed else type(f.default),
+                       help="comma-separated numbers" if listed else None)
     return p
 
 

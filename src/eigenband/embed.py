@@ -22,7 +22,8 @@ import numpy as np
 from . import basis as bs
 from . import manifold as mf
 from .manifold import SPHERE2, ManifoldModel, Point
-from .spectrum import Band, band_terms, enumerate_band, k_lambda, mean_frequency
+from .spectrum import (Band, band_terms, enumerate_band, k_lambda, mean_frequency,
+                       torus_frequencies)
 from .specfun import legendre_weighted_sum, radial_profile
 
 __all__ = [
@@ -101,7 +102,7 @@ def _kernel_terms(model: ManifoldModel, lo: float, hi: float) -> np.ndarray:
         w = np.zeros(int(K.max(initial=0)) + 1)
         w[K] = (2 * K + 1) / (4.0 * math.pi)
         return w
-    return 2.0 * math.pi * K / np.array(model.side_lengths)
+    return torus_frequencies(model, K)
 
 
 def _kernel(model: ManifoldModel, terms: np.ndarray, X: np.ndarray,
@@ -174,13 +175,17 @@ def _dist_from_kernels(exx, eyy, exy, k: float):
     return np.sqrt(np.maximum(0.0, exx + eyy - 2.0 * exy)) / k
 
 
+def _row_distance(embedding: Embedding, xc: np.ndarray, yc: np.ndarray) -> float:
+    """dist_lambda between two coordinate rows, from three kernel values."""
+    exx, eyy, exy = (float(_kernel(embedding.model, embedding.terms, a, b[None, :])[0])
+                     for a, b in ((xc, xc), (yc, yc), (xc, yc)))
+    return float(_dist_from_kernels(exx, eyy, exy, embedding.band.k_lambda))
+
+
 def dist_lambda(embedding: Embedding, x: Point, y: Point) -> float:
     """Canonical distance: Euclidean distance between the embedded points."""
-    band = _require_modes(embedding)
-    exx = band_kernel(embedding, x, x)
-    eyy = band_kernel(embedding, y, y)
-    exy = band_kernel(embedding, x, y)
-    return float(_dist_from_kernels(exx, eyy, exy, band.k_lambda))
+    _require_modes(embedding)
+    return _row_distance(embedding, *(mf.check_point(embedding.model, p) for p in (x, y)))
 
 
 class CanonicalDistance:
@@ -429,11 +434,12 @@ def diameter_estimate(embedding: Embedding, grid_size: int) -> float:
         raise ValueError("grid_size must be >= 2")
     if model.kind == SPHERE2:
         theta = _kernel_min_theta(embedding, np.linspace(0.0, math.pi, max(grid_size, 64)))
-        y = mf.make_point(model, (math.sin(theta), 0.0, math.cos(theta)))
-        return dist_lambda(embedding, mf.make_point(model, (0.0, 0.0, 1.0)), y)
+        y = np.array([math.sin(theta), 0.0, math.cos(theta)])
+        # the unit vector make_point builds, so this is dist_lambda at that Point
+        return _row_distance(embedding, np.array([0.0, 0.0, 1.0]), y / np.linalg.norm(y))
     counts = mf.torus_axis_counts(model, grid_size)
     origin = np.zeros(model.dim)
     phi0 = bs.mode_matrix(model, band.modes, origin[None, :]).T
     E = bs.torus_grid_values(model, band.modes, phi0, counts)[0]
     far = mf.product_grid_nodes(model, counts, int(E.argmin()))
-    return dist_lambda(embedding, mf.make_point(model, origin), mf.make_point(model, far))
+    return _row_distance(embedding, origin, far)

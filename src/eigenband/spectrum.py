@@ -18,6 +18,7 @@ __all__ = [
     "Mode",
     "Band",
     "k_lambda",
+    "torus_frequencies",
     "band_terms",
     "enumerate_band",
     "eigenvalue_count",
@@ -99,8 +100,13 @@ def _torus_lattice(model: ManifoldModel, lo: float, hi: float) -> np.ndarray:
     return k[(mu > lo) & (mu <= hi)]
 
 
+def torus_frequencies(model: ManifoldModel, k: np.ndarray) -> np.ndarray:
+    """The torus lattice frequencies 2 pi k / L of the rows of k."""
+    return 2.0 * math.pi * k / np.array(model.side_lengths)
+
+
 def _torus_mu(model: ManifoldModel, k: np.ndarray) -> np.ndarray:
-    freq = 2.0 * math.pi * k / np.array(model.side_lengths)
+    freq = torus_frequencies(model, k)
     return np.sqrt(np.sum(freq * freq, axis=-1))
 
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -8,7 +9,9 @@ import pytest
 from eigenband import acceptance
 from eigenband import cli
 from eigenband import embed as em
+from eigenband import entropy as en
 from eigenband import manifold as mf
+from eigenband import waves as wv
 
 
 def _run(argv):
@@ -282,3 +285,61 @@ def test_supnorm_summary_fits_the_loglog_slope(tmp_path):
     assert two["slope"] == pytest.approx(math.log(1.2) / rise)
     assert math.isnan(two["std_error"])
     assert math.isnan(cli._loglog_fit([9.0], [1.0])["slope"])
+
+
+def test_every_study_csv_identical_across_runs(tmp_path):
+    small = ["--lambda", "6", "--samples", "3", "--pairs", "50", "--grid-density", "4",
+             "--substrate", "300", "--eps-count", "4", "--seed", "3"]
+    for subcommand in [s for s in cli._RUNNERS if s != "verify"]:
+        outs = [tmp_path / subcommand / side for side in ("a", "b")]
+        for out in outs:
+            assert _run([subcommand, *small, "--out", str(out)]) == 0
+        a, b = (_newest(out, ".csv").read_bytes() for out in outs)
+        assert a == b, subcommand
+
+
+def test_flags_mirror_config_fields(tmp_path):
+    actions = [a for a in cli._parser()._actions if a.option_strings]
+    flags = {a.option_strings[0]: a.dest for a in actions}
+    assert flags.pop("-h") == "help" and flags.pop("--config") == "config"
+    assert list(flags) == ["--kind", "--side-lengths", "--lambda", "--lambdas", "--seed",
+                           "--samples", "--pairs", "--grid-density", "--substrate",
+                           "--eps-max", "--eps-min", "--eps-count", "--a-values", "--out"]
+    assert list(flags.values()) == [f.name for f in dataclasses.fields(cli.ExperimentConfig)]
+    assert _run(["band", "--workers", "2", "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+
+
+def _forbid(monkeypatch, module, name):
+    calls = []
+
+    def forbidden(*args, **kwargs):
+        calls.append(name)
+        raise AssertionError(f"{name} ran on a rejected setting")
+
+    monkeypatch.setattr(module, name, forbidden)
+    return calls
+
+
+@pytest.mark.parametrize("bad", [["--samples", "1"], ["--grid-density", "2"],
+                                 ["--lambda", "1"]])
+def test_bad_sup_setting_exits_before_dudley_curve(tmp_path, capsys, monkeypatch, bad):
+    calls = _forbid(monkeypatch, en, "covering_curve")
+    argv = ["dudley", "--lambda", "40", "--substrate", "12000", "--eps-min", "0.2",
+            "--eps-count", "8", *bad, "--out", str(tmp_path)]
+    assert _run(argv) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error:")
+    assert calls == []
+
+
+def test_bad_lambda_in_list_exits_before_any_sup(tmp_path, capsys, monkeypatch):
+    calls = _forbid(monkeypatch, wv, "expected_sup")
+    assert _run(["supnorm", "--lambdas", "80,0.9", "--samples", "200",
+                 "--grid-density", "10", "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error:")
+    assert calls == []
+
+
+def test_grid_density_below_ladder_base_exits_config(tmp_path, capsys):
+    assert _run(["band", "--grid-density", "2", "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert str(wv.LADDER_BASE) in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))

@@ -163,6 +163,7 @@ def test_bench_tier1_run_records_wall_time_and_counts(monkeypatch):
     got = bench._tier1(SCRIPTS.parent)
     assert got["exit"] == 1 and got["wall_s"] >= 0
     assert got["counts"] == {"failed": 1, "passed": 3, "errors": 2}
+    assert got["failed_tests"] == ["tests/test_a.py::test_x"]
     (cmd, kwargs), = calls
     assert cmd[1:3] == ["-m", "pytest"] and "--continue-on-collection-errors" in cmd
     assert kwargs["cwd"] == SCRIPTS.parent
