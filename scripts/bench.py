@@ -19,7 +19,8 @@ fails), and one tier-1 run (`python -m pytest -q
 --continue-on-collection-errors` on its own sources), for its wall time,
 its counts of passed and failed tests and the node ids of the failed ones.
 The result is BENCH_<pr>.json at the repository root: the environment,
-every run's metrics, each side's traced metrics, criterion seconds, tier-1
+every run's metrics and round count (`peak_rss_mb` grows with the rounds
+a run keeps), each side's traced metrics, criterion seconds, tier-1
 run and source size (lines of every `*.py` under `src/`, as `wc -l` counts
 them) and, per workload, each side's median and quartiles of every
 end-to-end metric, the number of pairs in which the change read better,
@@ -54,6 +55,13 @@ def parse_run(stdout: str) -> dict:
     return {"correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def parse_rounds(stderr: str) -> int | None:
+    """The round count from the `rounds N:` line that perfbench/run.py
+    prints on stderr, None when there is no such line."""
+    found = re.findall(r"^rounds (\d+):", stderr, flags=re.MULTILINE)
+    return int(found[-1]) if found else None
 
 
 def _quartiles(values: list[float]) -> dict:
@@ -218,7 +226,7 @@ def _run(root: Path, workload: str, seed: int, seconds: float, trace: int = 0) -
     if proc.returncode != 0 or not proc.stdout.strip():
         sys.stderr.write(proc.stderr)
         return failed
-    return parse_run(proc.stdout)
+    return {**parse_run(proc.stdout), "rounds": parse_rounds(proc.stderr)}
 
 
 def _seeds(text: str) -> list[int]:

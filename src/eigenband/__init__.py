@@ -32,8 +32,6 @@ from .spectrum import (
 from .basis import (
     mode_matrix,
     gradient_matrix,
-    eval_mode,
-    grad_mode,
     orthonormality_check,
 )
 from .embed import (
@@ -55,7 +53,6 @@ from .waves import (
     SupNormEstimate,
     SupBound,
     sample_wave,
-    eval_wave,
     sup_norm,
     expected_sup,
     sup_norm_bound,
@@ -67,7 +64,6 @@ from .entropy import (
     greedy_net,
     covering_curve,
     fit_exponent,
-    dudley_bound,
     dudley_report,
     lp_covering_bound,
     claim_integral,

@@ -1,9 +1,10 @@
-"""Pointwise evaluation of the orthonormal eigenfunctions and their gradients.
+"""The orthonormal eigenfunctions and their gradients at coordinate rows.
 
 Real basis throughout: cos/sin pairs on the torus, real spherical harmonics
-on the sphere (no Condon-Shortley phase). Gradients are returned in the
-orthonormal tangent frame of manifold.tangent_frame. Torus phases k.x add
-one axis at a time, so a point's row is the same bits in any batch.
+on the sphere (no Condon-Shortley phase). Gradients are returned in each
+row's orthonormal frame of manifold.tangent_frame_rows. A row's values and
+gradients are the same bits in any batch: torus phases k.x add one axis at
+a time, and each sphere row meets its frame in a matrix product of its own.
 
 Sphere values climb the normalized Legendre recurrence for all orders of a
 degree at once, O(l) array steps per degree over blocks of points, with the
@@ -19,13 +20,11 @@ import math
 import numpy as np
 
 from . import manifold as mf
-from .manifold import SPHERE2, ManifoldModel, Point
+from .manifold import SPHERE2, ManifoldModel
 from .specfun import INV_SQRT_4PI, assoc_legendre_upward
-from .spectrum import Band, Mode, torus_frequencies
+from .spectrum import Band, torus_frequencies
 
 __all__ = [
-    "eval_mode",
-    "grad_mode",
     "mode_matrix",
     "torus_grid_values",
     "torus_half_spectrum",
@@ -293,42 +292,16 @@ def _sphere_gradient_ambient(modes, coords: np.ndarray) -> np.ndarray:
     return dth[:, :, None] * e_theta[:, None, :] + dph[:, :, None] * e_phi[:, None, :]
 
 
-def gradient_matrix(model: ManifoldModel, modes, x: Point) -> np.ndarray:
-    """Gradients of every mode at x in the tangent frame: (n_modes, dim)."""
-    xc = mf.check_point(model, x)
+def gradient_matrix(model: ManifoldModel, modes, coords: np.ndarray) -> np.ndarray:
+    """Gradients of every mode at every coordinate row, in that row's
+    manifold.tangent_frame_rows frame: (n_points, n_modes, dim)."""
+    coords = np.atleast_2d(np.asarray(coords, dtype=float))
     if model.kind == SPHERE2:
-        amb = _sphere_gradient_ambient(modes, xc[None, :])[0]
-        frame = mf.tangent_frame(model, x)
-        return amb @ frame.T
-    W, is_cos, phase = _torus_phases(model, modes, xc[None, :])
-    scale = np.where(is_cos, -np.sin(phase[0]), np.cos(phase[0]))
-    return math.sqrt(2.0 / model.volume) * scale[:, None] * W
-
-
-def eval_mode(model: ManifoldModel, mode: Mode, x: Point) -> float:
-    """Value of one L2-normalized eigenfunction at x."""
-    xc = mf.check_point(model, x)
-    _check_mode(model, mode)
-    return float(mode_matrix(model, [mode], xc[None, :])[0, 0])
-
-
-def grad_mode(model: ManifoldModel, mode: Mode, x: Point) -> np.ndarray:
-    """Gradient of one eigenfunction at x, components in the tangent frame."""
-    _check_mode(model, mode)
-    return gradient_matrix(model, [mode], x)[0]
-
-
-def _check_mode(model: ManifoldModel, mode: Mode):
-    if model.kind == SPHERE2:
-        if not (isinstance(mode.label[0], int) and isinstance(mode.label[1], int)):
-            raise ValueError(f"mode {mode.label} is not a sphere mode")
-        l, m = mode.label
-        if abs(m) > l:
-            raise ValueError(f"invalid sphere mode {mode.label}")
-    else:
-        k, flavor = mode.label
-        if flavor not in ("cos", "sin") or len(k) != model.dim:
-            raise ValueError(f"mode {mode.label} does not match the torus")
+        frames = mf.tangent_frame_rows(model, coords)
+        return np.matmul(_sphere_gradient_ambient(modes, coords), frames.transpose(0, 2, 1))
+    W, is_cos, phase = _torus_phases(model, modes, coords)
+    scale = np.where(is_cos, -np.sin(phase), np.cos(phase))
+    return math.sqrt(2.0 / model.volume) * scale[:, :, None] * W
 
 
 # ---------------------------------------------------------------------------

@@ -355,15 +355,16 @@ def _run_diameter(cfg: ExperimentConfig):
 def _run_covering(cfg: ExperimentConfig):
     model = _model(cfg)
     substrate = mf.quasi_uniform_grid(model, cfg.substrate)
-    dg = mf.GeodesicDistance(model)
+    # the band curve first, so that an empty band exits before any net
+    curve = _band_curve(cfg, model, substrate, 10.0)
+    # the geodesic nets are prefixes of one traversal; rows list the smallest radius first
+    geodesic = en.covering_curve(substrate, mf.GeodesicDistance(model), (1.0, 0.5, 0.2))
     rows = []
     flags = {}
-    for r in (0.2, 0.5, 1.0):
-        net = en.greedy_net(substrate, dg, r)
+    for r, n in reversed(geodesic.entries):
         lp = en.lp_covering_bound(model, r)
-        rows.append(("d_g", r, len(net.centers), lp))
-        flags[f"lp_holds_r{r:g}"] = bool(len(net.centers) <= lp)
-    curve = _band_curve(cfg, model, substrate, 10.0)
+        rows.append(("d_g", r, n, lp))
+        flags[f"lp_holds_r{r:g}"] = bool(n <= lp)
     for e, n in curve.entries:
         rows.append((curve.distance_id, e, n, math.nan))
     slope = en.fit_exponent(curve, n_max=len(substrate) // 4)

@@ -286,10 +286,11 @@ def pullback_metric(embedding: Embedding, x: Point, method: str = "gradient") ->
     """
     band = _require_modes(embedding)
     model = embedding.model
+    xc = mf.check_point(model, x)
     frame = mf.tangent_frame(model, x)
     k2 = band.k_lambda ** 2
     if method == "gradient":
-        G = bs.gradient_matrix(model, band.modes, x)
+        G = bs.gradient_matrix(model, band.modes, xc[None, :])[0]
         mat = (G.T @ G) / k2
     elif method == "kernel_fd":
         # g_ab = -(1/k^2) d^2/du_a du_b E(x, exp_x(u)) at u = 0, by the
@@ -300,7 +301,6 @@ def pullback_metric(embedding: Embedding, x: Point, method: str = "gradient") ->
         upper = np.triu_indices(n)
         steps = np.concatenate([np.stack([E[a] + E[b], E[a] - E[b], E[b] - E[a], -E[a] - E[b]])
                                 for a, b in zip(*upper)])
-        xc = mf.check_point(model, x)
         Y = mf.exp_map_rows(model, np.broadcast_to(xc, (len(steps), len(xc))), steps)
         vals = _kernel(model, embedding.terms, xc, Y).reshape(-1, 4)
         mat = np.empty((n, n))

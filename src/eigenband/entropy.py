@@ -41,7 +41,6 @@ __all__ = [
     "greedy_net",
     "covering_curve",
     "fit_exponent",
-    "dudley_bound",
     "dudley_report",
     "lp_covering_bound",
     "claim_integral",
@@ -201,7 +200,7 @@ def greedy_net(points, distance, epsilon: float) -> Net:
         raise ValueError("substrate is empty")
     if not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-    C = np.stack([p.coords for p in points])
+    C = np.array([p.coords for p in points])
     order, _, covered, _ = _farthest_point_order(*_walk(distance, C), epsilon)
     return Net(centers=[points[i] for i in order], radius=epsilon, covered_check=covered)
 
@@ -222,7 +221,7 @@ def covering_curve(substrate, distance, epsilon_list) -> CoveringCurve:
         raise ValueError("epsilon values must be sorted descending")
     if len(substrate) == 0:
         raise ValueError("substrate is empty")
-    C = np.stack([p.coords for p in substrate])
+    C = np.array([p.coords for p in substrate])
     order, radii, covered, row_entries = _farthest_point_order(*_walk(distance, C),
                                                                 min(eps))
     inserted = np.array(radii[1:])
@@ -322,10 +321,6 @@ def dudley_report(curve: CoveringCurve) -> DudleyReport:
     return DudleyReport(bound=DUDLEY_CONSTANT * (trap + tail), half_diameter=half_d,
                         tail_scale=tail_scale, tail_exponent=tail_exp,
                         scale_ratio=ratio, inverse_log_scale=inv_log)
-
-
-def dudley_bound(curve: CoveringCurve) -> float:
-    return dudley_report(curve).bound
 
 
 def lp_covering_bound(model, r: float) -> float:

@@ -54,7 +54,7 @@ import numpy as np
 
 from . import basis as bs
 from . import manifold as mf
-from .manifold import SPHERE2, ManifoldModel, Point
+from .manifold import SPHERE2, ManifoldModel
 from .spectrum import Band, enumerate_band, mean_frequency
 
 __all__ = [
@@ -62,7 +62,6 @@ __all__ = [
     "SupNormEstimate",
     "SupBound",
     "sample_wave",
-    "eval_wave",
     "sup_norm",
     "expected_sup",
     "sup_norm_bound",
@@ -108,13 +107,6 @@ def sample_wave(band: Band, seed: int, sample_index: int) -> RandomWave:
     coeffs = gen.standard_normal(band.m_lambda) / band.k_lambda
     return RandomWave(band=band, coefficients=coeffs,
                       seed_info=(seed, sample_index))
-
-
-def eval_wave(wave: RandomWave, x: Point) -> float:
-    band = wave.band
-    xc = mf.check_point(band.model, x)
-    row = bs.mode_matrix(band.model, band.modes, xc[None, :])[0]
-    return float(row @ wave.coefficients)
 
 
 def sup_norm_bound(model: ManifoldModel, lam: float) -> SupBound:

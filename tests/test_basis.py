@@ -180,8 +180,10 @@ def test_torus_rows_do_not_depend_on_the_batch(sides, lam):
     rng = np.random.Generator(np.random.Philox(8))
     coords = rng.uniform(0.0, 1.0, (40, model.dim)) * np.array(sides)
     V = bs.mode_matrix(model, band.modes, coords)
+    G = bs.gradient_matrix(model, band.modes, coords)
     for i in range(len(coords)):
         assert np.array_equal(bs.mode_matrix(model, band.modes, coords[i:i + 1]), V[i:i + 1])
+        assert np.array_equal(bs.gradient_matrix(model, band.modes, coords[i:i + 1]), G[i:i + 1])
 
 
 def _full_half_lattice_values(model, modes, A, counts):
@@ -273,7 +275,7 @@ def test_gradients_match_finite_differences(model, lam):
     rng = np.random.Generator(np.random.Philox(12))
     for _ in range(6):
         x = mf.uniform_sample(model, rng)
-        G = bs.gradient_matrix(model, band.modes, x)
+        G = bs.gradient_matrix(model, band.modes, x.coords)[0]
         F = _fd_gradient(model, band.modes, x)
         scale = max(1.0, float(np.max(np.abs(G))))
         assert np.max(np.abs(G - F)) / scale < 1e-7
@@ -317,15 +319,26 @@ def _per_mode_gradients(modes, x):
     return out @ mf.tangent_frame(SPHERE, x).T
 
 
+def _assert_rows_equal_per_mode_route(modes, coords):
+    # every row of one batched call, against the route one point at a time
+    points = [mf.make_point(SPHERE, c) for c in coords]
+    G = bs.gradient_matrix(SPHERE, modes, np.array([x.coords for x in points]))
+    assert G.shape == (len(points), len(modes), 2)
+    for row, x in zip(G, points):
+        assert np.array_equal(row, _per_mode_gradients(modes, x))
+
+
+# a point 1e-7 from the north pole, where 1 - t^2 loses precision
+NEAR_POLE = (math.sin(1e-7), 0.0, math.cos(1e-7))
+
+
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0, 9.0, 40.0, 80.0])
 def test_sphere_gradients_equal_per_mode_route(lam):
-    # poles, ring nodes and random points, with the mode order shuffled
+    # poles, ring nodes and random points in one call, with the mode order shuffled
     rng = np.random.default_rng(int(lam * 10) + 1)
     band = sp.enumerate_band(SPHERE, lam)
     modes = [band.modes[i] for i in rng.permutation(band.m_lambda)]
-    for coords in _mixed_points(9, rng):
-        x = mf.make_point(SPHERE, coords)
-        assert np.array_equal(bs.gradient_matrix(SPHERE, modes, x), _per_mode_gradients(modes, x))
+    _assert_rows_equal_per_mode_route(modes, np.vstack([_mixed_points(9, rng), NEAR_POLE]))
 
 
 def test_sphere_gradients_equal_per_mode_route_across_degrees():
@@ -334,30 +347,27 @@ def test_sphere_gradients_equal_per_mode_route_across_degrees():
     rng = np.random.default_rng(4)
     modes = [sp.Mode(id=i, mu=0.0, label=labels[i]) for i in rng.permutation(len(labels))]
     modes.append(modes[0])
-    for coords in _mixed_points(9, rng):
-        x = mf.make_point(SPHERE, coords)
-        assert np.array_equal(bs.gradient_matrix(SPHERE, modes, x), _per_mode_gradients(modes, x))
+    _assert_rows_equal_per_mode_route(modes, _mixed_points(9, rng))
 
 
 @pytest.mark.parametrize("model", [SPHERE, TORUS])
 def test_gradients_of_no_modes(model):
     x = mf.uniform_sample(model, np.random.default_rng(5))
-    G = bs.gradient_matrix(model, [], x)
-    assert G.shape == (0, model.dim)
+    G = bs.gradient_matrix(model, [], x.coords)
+    assert G.shape == (1, 0, model.dim)
 
 
 def test_gradients_at_poles():
     band = sp.enumerate_band(SPHERE, 9.0)
     for z in (1.0, -1.0):
         pole = mf.make_point(SPHERE, (0.0, 0.0, z))
-        G = bs.gradient_matrix(SPHERE, band.modes, pole)
+        G = bs.gradient_matrix(SPHERE, band.modes, pole.coords)[0]
         F = _fd_gradient(SPHERE, band.modes, pole, h=1e-5)
         assert np.all(np.isfinite(G))
         scale = max(1.0, float(np.max(np.abs(G))))
         assert np.max(np.abs(G - F)) / scale < 1e-6
     # near-pole, where naive 1 - t^2 loses precision
-    near = mf.make_point(SPHERE, (math.sin(1e-7), 0.0, math.cos(1e-7)))
-    G = bs.gradient_matrix(SPHERE, band.modes, near)
+    G = bs.gradient_matrix(SPHERE, band.modes, NEAR_POLE)
     assert np.all(np.isfinite(G))
 
 
@@ -369,14 +379,14 @@ def test_gradient_addition_theorem():
     target = l * (l + 1) * (2 * l + 1) / (4 * math.pi)
     for _ in range(8):
         x = mf.uniform_sample(SPHERE, rng)
-        G = bs.gradient_matrix(SPHERE, band.modes, x)
+        G = bs.gradient_matrix(SPHERE, band.modes, x.coords)
         assert float((G ** 2).sum()) == pytest.approx(target, rel=1e-9)
 
 
 def test_torus_gradient_formula():
     band = sp.enumerate_band(TORUS, 4.0)
     x = mf.make_point(TORUS, (0.7, 2.1))
-    G = bs.gradient_matrix(TORUS, band.modes, x)
+    G = bs.gradient_matrix(TORUS, band.modes, x.coords)[0]
     amp = math.sqrt(2.0 / TORUS.volume)
     for j, mode in enumerate(band.modes):
         k, flavor = mode.label
@@ -385,16 +395,6 @@ def test_torus_gradient_formula():
         ref = (-amp * math.sin(phase) * w if flavor == "cos"
                else amp * math.cos(phase) * w)
         assert np.allclose(G[j], ref, atol=1e-12)
-
-
-def test_eval_and_grad_single_mode():
-    band = sp.enumerate_band(SPHERE, 9.0)
-    x = mf.make_point(SPHERE, (0.3, -0.5, 0.9))
-    V = bs.mode_matrix(SPHERE, band.modes, x.coords[None, :])[0]
-    G = bs.gradient_matrix(SPHERE, band.modes, x)
-    for j, mode in enumerate(band.modes[:5]):
-        assert bs.eval_mode(SPHERE, mode, x) == pytest.approx(V[j], abs=1e-14)
-        assert np.allclose(bs.grad_mode(SPHERE, mode, x), G[j], atol=1e-14)
 
 
 def test_quadrature_weights_sum_to_volume():
@@ -425,7 +425,7 @@ for model in (manifold.sphere2(), manifold.flat_torus((6.0, 5.0))):
     band = spectrum.enumerate_band(model, 6.0)
     x = manifold.uniform_sample(model, np.random.default_rng(0))
     basis.mode_matrix(model, band.modes, x.coords[None, :])
-    basis.gradient_matrix(model, band.modes, x)
+    basis.gradient_matrix(model, band.modes, x.coords)
     waves.expected_sup(model, 6.0, 2, 4.0, seed=1)
 print('numpy.ma' in sys.modules)
 """

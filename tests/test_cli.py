@@ -331,6 +331,14 @@ def test_bad_sup_setting_exits_before_dudley_curve(tmp_path, capsys, monkeypatch
     assert calls == []
 
 
+def test_empty_band_exits_before_geodesic_nets(tmp_path, capsys, monkeypatch):
+    calls = _forbid(monkeypatch, mf.GeodesicDistance, "rows")
+    assert _run(["covering", "--lambda", "0.1", "--substrate", "2000",
+                 "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert "is empty" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_bad_lambda_in_list_exits_before_any_sup(tmp_path, capsys, monkeypatch):
     calls = _forbid(monkeypatch, wv, "expected_sup")
     assert _run(["supnorm", "--lambdas", "80,0.9", "--samples", "200",

@@ -536,7 +536,7 @@ def test_dudley_bound_synthetic_oracle():
     eps = np.geomspace(0.5, 1e-4, 80)
     entries = tuple((float(e), float(e ** -2.0)) for e in eps)
     curve = en.CoveringCurve(entries=entries, distance_id="synthetic", diameter=1.0)
-    got = en.dudley_bound(curve)
+    got = en.dudley_report(curve).bound
     oracle = 8 * math.sqrt(2) * quad(
         lambda e: math.sqrt(2 * math.log(1 / e)), 0, 0.5,
         epsabs=1e-13, epsrel=1e-13)[0]
@@ -552,12 +552,12 @@ def test_dudley_bound_synthetic_oracle():
 def test_dudley_degenerate_and_fallback():
     flat = en.CoveringCurve(entries=((0.5, 1), (0.25, 1)), distance_id="x",
                             diameter=1.0)
-    assert en.dudley_bound(flat) == 0.0
+    assert en.dudley_report(flat).bound == 0.0
     one = en.CoveringCurve(entries=((0.25, 9),), distance_id="x", diameter=1.0)
-    v = en.dudley_bound(one)
+    v = en.dudley_report(one).bound
     assert v > 0 and math.isfinite(v)
     with pytest.raises(ValueError):
-        en.dudley_bound(en.CoveringCurve(entries=(), distance_id="x", diameter=1.0))
+        en.dudley_report(en.CoveringCurve(entries=(), distance_id="x", diameter=1.0))
 
 
 def test_dudley_tail_closed_form():

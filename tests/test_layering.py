@@ -1,7 +1,10 @@
-"""No module of the package reads another module's underscore names.
+"""No module of the package reads another module's underscore names, and
+the modules that work on coordinate rows name no Point.
 
 Each module's private helpers are its own; a shared quantity gets a
-public function in the module that owns it.
+public function in the module that owns it. Points are checked and
+unwrapped at the public edge, so basis, specfun, spectrum and waves see
+only coordinate arrays.
 """
 
 import ast
@@ -64,3 +67,36 @@ def test_no_cross_module_private_reads():
         if found:
             offenders[path.name] = found
     assert offenders == {}
+
+
+# modules that work on coordinate rows only: Points stay at the public edge
+ROW_MODULES = ("basis", "specfun", "spectrum", "waves")
+POINT_NAMES = {"Point", "check_point", "make_point"}
+
+
+def point_references(source: str) -> list[str]:
+    """Every name of POINT_NAMES that source imports, reads or calls, bare or
+    as a module attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found += [a.name for a in node.names if a.name in POINT_NAMES]
+        elif isinstance(node, ast.Name) and node.id in POINT_NAMES:
+            found.append(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr in POINT_NAMES:
+            found.append(node.attr)
+    return found
+
+
+def test_point_checker_sees_every_form():
+    src = ("from .manifold import SPHERE2, Point\n"
+           "from . import manifold as mf\n"
+           "def f(m, x: Point, c):\n"
+           "    return mf.check_point(m, x), mf.make_point(m, c), x.coords\n")
+    assert sorted(point_references(src)) == ["Point", "Point", "check_point", "make_point"]
+
+
+def test_row_modules_take_no_points():
+    found = {name: point_references((PACKAGE / f"{name}.py").read_text())
+             for name in ROW_MODULES}
+    assert {name: refs for name, refs in found.items() if refs} == {}

@@ -99,6 +99,21 @@ def test_bench_timed_out_run_is_a_failed_operation(monkeypatch):
     assert bench.summarize(runs, END_TO_END)["w"]["failed_ops"] == {"change": 1}
 
 
+def test_bench_run_records_its_round_count(monkeypatch):
+    # perfbench/run.py prints its check lines and the round times on stderr
+    bench = _load("bench")
+    stderr = ("ok   all 37 rounds returned identical outputs\n"
+              "ok   waves._LEVEL_CACHE emptied before 37 of 37 rounds\n"
+              "rounds 37: 0.2701 0.2655 0.2690\n")
+    assert bench.parse_rounds(stderr) == 37
+    assert bench.parse_rounds("ok   all 37 rounds returned identical outputs\n") is None
+    monkeypatch.setattr(bench.subprocess, "run", lambda cmd, **kw:
+                        bench.subprocess.CompletedProcess(cmd, 0, _canned_stdout(0.27, 61.5),
+                                                          stderr))
+    run = bench._run(SCRIPTS.parent, "geometry-scans", 51, 10)
+    assert run["rounds"] == 37 and run["metrics"] == {"study_s": 0.27, "peak_rss_mb": 61.5}
+
+
 def test_bench_verify_reads_report_despite_failing_exit(monkeypatch):
     # verify exits 3 while a criterion fails; the seconds come from its JSON
     bench = _load("bench")

@@ -51,14 +51,6 @@ def test_wave_l2_norm_near_one():
     assert 0.8 <= mean_sq <= 1.2
 
 
-def test_eval_wave_matches_dot():
-    band = sp.enumerate_band(TORUS, 5.0)
-    w = wv.sample_wave(band, 3, 0)
-    x = mf.make_point(TORUS, (0.4, 1.9))
-    row = bs.mode_matrix(TORUS, band.modes, x.coords[None, :])[0]
-    assert wv.eval_wave(w, x) == pytest.approx(float(row @ w.coefficients), abs=1e-14)
-
-
 def test_single_mode_sup_exact():
     # one cos mode: sup |a| sqrt(2/vol), attained on the grid at the origin
     band = sp.enumerate_band(TORUS, 5.0)
