@@ -15,16 +15,18 @@ non-zero or times out is recorded as one failed operation. Each side then
 makes one `--trace 1` run per workload on the first seed, for the per-layer
 metrics, one `eigenband verify` run, for the seconds of each acceptance
 criterion (read from its JSON report: verify exits 3 while a criterion
-fails), and one tier-1 run (`python -m pytest -q
+fails), one tier-1 run (`python -m pytest -q
 --continue-on-collection-errors` on its own sources), for its wall time,
-its counts of passed and failed tests and the node ids of the failed ones.
-The result is BENCH_<pr>.json at the repository root: the environment,
+its counts of passed and failed tests and the node ids of the failed ones,
+and one `scripts/run_all.py --seed 0` run, for the sha256 of each job's
+CSV. The result is BENCH_<pr>.json at the repository root: the environment,
 every run's metrics and round count (`peak_rss_mb` grows with the rounds
 a run keeps), each side's traced metrics, criterion seconds, tier-1
-run and source size (lines of every `*.py` under `src/`, as `wc -l` counts
-them) and, per workload, each side's median and quartiles of every
-end-to-end metric, the number of pairs in which the change read better,
-and a verdict on the change's median against the metric's bound.
+run, CSV digests and source size (lines of every `*.py` under `src/`, as
+`wc -l` counts them), the jobs whose CSVs differ between the sides and,
+per workload, each side's median and quartiles of every end-to-end metric,
+the number of pairs in which the change read better, and a verdict on the
+change's median against the metric's bound.
 
 Left out: the traced, verify and tier-1 runs are single runs, not paired
 medians, so they show where time went rather than prove a gain.
@@ -33,6 +35,7 @@ medians, so they show where time went rather than prove a gain.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -208,6 +211,30 @@ def _tier1(root: Path) -> dict:
                              for line in proc.stdout.splitlines() if line.startswith("FAILED ")]}
 
 
+def _outputs(root: Path) -> dict:
+    """One `scripts/run_all.py --seed 0` run on root's sources, with one BLAS
+    thread: its exit code and the sha256 of each job's CSV, keyed by the
+    job's subcommand (the CSV name's first word)."""
+    with tempfile.TemporaryDirectory(prefix="bench-outputs-") as out:
+        try:
+            proc = subprocess.run([sys.executable, "scripts/run_all.py", "--out", out,
+                                   "--seed", "0"], cwd=root, env=_one_blas_thread(root),
+                                  capture_output=True, text=True, timeout=3600)
+        except subprocess.TimeoutExpired:
+            print("bench: run_all timed out", file=sys.stderr)
+            return {"exit": None, "csv_sha256": {}}
+        digests = {path.name.split("-")[0]: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in sorted(Path(out).glob("*.csv"))}
+    return {"exit": proc.returncode, "csv_sha256": digests}
+
+
+def differing_outputs(parent: dict, change: dict) -> list[str]:
+    """The jobs whose CSV digests differ between two _outputs records, or
+    that only one side wrote."""
+    a, b = parent["csv_sha256"], change["csv_sha256"]
+    return sorted(job for job in a.keys() | b.keys() if a.get(job) != b.get(job))
+
+
 def src_lines(root: Path) -> int:
     """Lines of every *.py file in the src directory of a checkout, as `wc -l` counts."""
     return sum(path.read_bytes().count(b"\n") for path in (root / "src").rglob("*.py"))
@@ -265,7 +292,7 @@ def main(argv=None) -> int:
                     print(f"{workload} seed {seed} {side}: {run['metrics']} "
                           f"({time.perf_counter() - t0:.0f} s)", file=sys.stderr)
         traced = {side: {} for side in roots}
-        criteria, tier1 = {}, {}
+        criteria, tier1, outputs = {}, {}, {}
         for side in roots:
             for workload in (w["name"] for w in spec["workloads"]):
                 traced[side][workload] = _run(roots[side], workload, seeds[0], seconds, trace=1)
@@ -275,7 +302,11 @@ def main(argv=None) -> int:
             print(f"verify {side}: {criteria[side].get('seconds')}", file=sys.stderr)
             tier1[side] = _tier1(roots[side])
             print(f"tier-1 {side}: {tier1[side]}", file=sys.stderr)
+            outputs[side] = _outputs(roots[side])
+            print(f"outputs {side}: exit {outputs[side]['exit']}", file=sys.stderr)
         sizes = {side: src_lines(root) for side, root in roots.items()}
+    if "parent" in outputs:
+        outputs["differ"] = differing_outputs(outputs["parent"], outputs["change"])
 
     report = {"pr": args.pr, "environment": environment(),
               "settings": {"command": spec["command"], "seconds": seconds,
@@ -284,7 +315,8 @@ def main(argv=None) -> int:
                             + (" + uncommitted changes" if _git("status", "--porcelain") else ""),
                             **({"parent": _git("rev-parse", args.parent)} if args.parent else {})},
               "summary": summarize(runs, spec["end_to_end"]), "runs": runs,
-              "traced": traced, "criteria": criteria, "tier1": tier1, "src_lines": sizes}
+              "traced": traced, "criteria": criteria, "tier1": tier1, "outputs": outputs,
+              "src_lines": sizes}
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)

@@ -180,10 +180,11 @@ def _run_band(cfg: ExperimentConfig):
 
 def _run_lipschitz(cfg: ExperimentConfig):
     model = _model(cfg)
+    # every lambda's embedding first: an empty band ends the run before any scan
+    embs = [em.make_embedding(model, lam) for lam in _lams(cfg)]
     rows = []
     flags = {}
-    for li, lam in enumerate(_lams(cfg)):
-        emb = em.make_embedding(model, lam)
+    for li, (lam, emb) in enumerate(zip(_lams(cfg), embs)):
         scan = em.lipschitz_scan(emb, cfg.pairs, _rng(cfg, 10 + 2 * li))
         rng = _rng(cfg, 11 + 2 * li)
         # each pair's x, then its y
@@ -339,8 +340,9 @@ def _run_diameter(cfg: ExperimentConfig):
     rows = []
     flags = {}
     reference = math.sqrt(2.0) / math.sqrt(model.volume)
-    for lam in _lams(cfg):
-        emb = em.make_embedding(model, lam)
+    # every lambda's embedding first: an empty band ends the run before any scan
+    embs = [em.make_embedding(model, lam) for lam in _lams(cfg)]
+    for lam, emb in zip(_lams(cfg), embs):
         est = em.diameter_estimate(emb, cfg.substrate)
         rows.append((cfg.kind, lam, est, reference, est / reference - 1.0))
         if cfg.kind == "sphere2":

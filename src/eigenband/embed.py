@@ -5,7 +5,8 @@ computes that map, the band and cumulative projector kernels, the canonical
 distance pulled back from the ambient Euclidean metric, the pullback metric
 tensor, polyline lengths in that metric, and the scans (Lipschitz ratio,
 radial distance profile, diameter) the experiments are built on, and the
-sphere caps that let a farthest-point traversal skip rows.
+sphere caps that let a farthest-point traversal skip rows. An empty band
+has no embedding: make_embedding refuses it, and nothing here checks again.
 
 Kernel fast paths exploit the addition theorem on the sphere and translation
 invariance on the torus; the naive mode sums stay available as oracles.
@@ -79,15 +80,12 @@ class ProfilePoint(NamedTuple):
 
 
 def make_embedding(model: ManifoldModel, lam: float) -> Embedding:
+    """The embedding of the band (lam, lam+1]; ValueError if it is empty."""
     band = enumerate_band(model, lam)
+    if band.m_lambda == 0:
+        raise ValueError(f"band at lambda={band.lam} is empty")
     return Embedding(band=band, model=model,
                      terms=_kernel_terms(model, band.lam, band.lam + 1.0))
-
-
-def _require_modes(embedding: Embedding) -> Band:
-    if embedding.band.m_lambda == 0:
-        raise ValueError(f"band at lambda={embedding.band.lam} is empty")
-    return embedding.band
 
 
 # ---------------------------------------------------------------------------
@@ -124,14 +122,13 @@ def _pole_kernel(embedding: Embedding, theta: np.ndarray) -> np.ndarray:
 
 def band_kernel(embedding: Embedding, x: Point, y: Point, method: str = "fast") -> float:
     """Band projector kernel E(x, y) = sum over the band of phi_j(x) phi_j(y)."""
-    band = _require_modes(embedding)
     model = embedding.model
     xc = mf.check_point(model, x)
     yc = mf.check_point(model, y)
     if method == "fast":
         return float(_kernel(model, embedding.terms, xc, yc[None, :])[0])
     if method == "naive":
-        vals = bs.mode_matrix(model, band.modes, np.stack([xc, yc]))
+        vals = bs.mode_matrix(model, embedding.band.modes, np.stack([xc, yc]))
         return float(vals[0] @ vals[1])
     raise ValueError(f"unknown kernel method {method!r}")
 
@@ -166,7 +163,7 @@ def cumulative_kernel(model: ManifoldModel, lam: float, x: Point, y: Point,
 
 def phi(embedding: Embedding, x: Point) -> np.ndarray:
     """Components of the normalized embedding at x, in band mode order."""
-    band = _require_modes(embedding)
+    band = embedding.band
     xc = mf.check_point(embedding.model, x)
     return bs.mode_matrix(embedding.model, band.modes, xc[None, :])[0] / band.k_lambda
 
@@ -184,7 +181,6 @@ def _row_distance(embedding: Embedding, xc: np.ndarray, yc: np.ndarray) -> float
 
 def dist_lambda(embedding: Embedding, x: Point, y: Point) -> float:
     """Canonical distance: Euclidean distance between the embedded points."""
-    _require_modes(embedding)
     return _row_distance(embedding, *(mf.check_point(embedding.model, p) for p in (x, y)))
 
 
@@ -196,13 +192,10 @@ class CanonicalDistance:
 
     def __init__(self, embedding: Embedding):
         self.embedding = embedding
-        band = _require_modes(embedding)
+        band = embedding.band
         # both models are homogeneous so the diagonal is constant
         self._diag = band.m_lambda / embedding.model.volume
         self._k = band.k_lambda
-
-    def __call__(self, x: Point, y: Point) -> float:
-        return dist_lambda(self.embedding, x, y)
 
     def rows(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Distances from one point X to the rows of Y, or row by row."""
@@ -233,7 +226,7 @@ def sphere_metric_constant(embedding: Embedding) -> float:
     directions and scaled by 1/k^2."""
     w = embedding.terms
     l = np.arange(w.size)
-    return float(w @ (l * (l + 1.0))) / (2.0 * _require_modes(embedding).k_lambda ** 2)
+    return float(w @ (l * (l + 1.0))) / (2.0 * embedding.band.k_lambda ** 2)
 
 
 def _sphere_cap_cut(embedding: Embedding):
@@ -249,7 +242,7 @@ def _sphere_cap_cut(embedding: Embedding):
     bounds over [0, pi/2] give a, prefix minima over [pi/2, pi] give b, by
     two searchsorted calls. None when neither side holds a step.
     """
-    band = _require_modes(embedding)
+    band = embedding.band
     half = _CUT_STEPS_PER_LAMBDA // 2 * math.ceil(band.lam)
     h = math.pi / (2 * half)
     diag = band.m_lambda / embedding.model.volume
@@ -284,7 +277,7 @@ def pullback_metric(embedding: Embedding, x: Point, method: str = "gradient") ->
     same tensor off mixed second differences of the kernel and exists as an
     independent cross-check.
     """
-    band = _require_modes(embedding)
+    band = embedding.band
     model = embedding.model
     xc = mf.check_point(model, x)
     frame = mf.tangent_frame(model, x)
@@ -347,7 +340,7 @@ def lipschitz_scan(embedding: Embedding, pair_count: int, rng: np.random.Generat
     log-uniform in [1e-3/lambda, 10/lambda] from x, where the ratio peaks.
     Closer pairs measure rounding in arccos and the kernel cancellation.
     """
-    band = _require_modes(embedding)
+    band = embedding.band
     lam = band.lam
     if lam <= 0:
         raise ValueError("lipschitz ratio needs lambda > 0")
@@ -380,7 +373,7 @@ def distance_profile(embedding: Embedding, r_values) -> list[ProfilePoint]:
     The reference is sqrt((2/vol)(1 - Lambda_n(lam_bar r))); it is a shape to
     compare against, not an asserted equality.
     """
-    band = _require_modes(embedding)
+    band = embedding.band
     model = embedding.model
     r = np.array(r_values, dtype=float).reshape(-1)
     for bad in r[(r < 0) | (r > model.injectivity_radius + 1e-12)]:
@@ -428,7 +421,7 @@ def diameter_estimate(embedding: Embedding, grid_size: int) -> float:
     origin, so one inverse FFT (basis.torus_grid_values) gives it on the
     whole grid; the distance is then taken at its argmin node.
     """
-    band = _require_modes(embedding)
+    band = embedding.band
     model = embedding.model
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")

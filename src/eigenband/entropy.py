@@ -10,16 +10,18 @@ fallen to the stop radius can never be inserted or be the farthest point
 again, since that distance only shrinks and the traversal stops once the
 largest one is at the stop radius. Once such settled points are half of
 the live set, their rows are compacted out of the array in place, and later
-rows cover only the points still live. A distance that offers
-feature_rows(C) (CanonicalDistance) supplies both: its feature matrix of
-the substrate, and rows over feature vectors. Any other distance walks a
-copy of the coordinates with its rows(x, C), or is called pair by pair.
-feature_rows also gives near, None or a function: near(U, k, r) names the
-rows of the substrate coordinates U that a center at row k can bring
-nearer than r. An insertion at radius r can only lower the distances below
-r, so it computes rows just for those points, unless they are over half of
-the live set. rows and near are the traversal's whole contract with a
-distance; the geometry behind them, such as the sphere's caps, is embed's.
+rows cover only the points still live.
+
+A distance is its name, its rows(x, X) and, optionally, feature_rows(C):
+that is the traversal's whole contract with it. A distance that offers
+feature_rows (CanonicalDistance) supplies the feature matrix of the
+substrate and rows over feature vectors; any other distance walks a copy
+of the coordinates with its rows. feature_rows also gives near, None or a
+function: near(U, k, r) names the rows of the substrate coordinates U that
+a center at row k can bring nearer than r. An insertion at radius r can
+only lower the distances below r, so it computes rows just for those
+points, unless they are over half of the live set. The geometry behind
+rows and near, such as the sphere's caps, is embed's.
 
 scipy is imported inside the two functions that need it, so importing the
 package does not load it.
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .manifold import Point
+from .manifold import weyl_constants
 
 __all__ = [
     "Net",
@@ -90,22 +92,6 @@ class DudleyReport:
     inverse_log_scale: float
 
 
-def _distance_id(distance) -> str:
-    return getattr(distance, "name", None) or getattr(distance, "__name__", "custom")
-
-
-def _rows_fn(distance):
-    rows = getattr(distance, "rows", None)
-    if rows is not None:
-        return rows
-
-    def fallback(xc: np.ndarray, C: np.ndarray) -> np.ndarray:
-        x = Point(xc)
-        return np.array([distance(x, Point(c)) for c in C])
-
-    return fallback
-
-
 def _walk(distance, C: np.ndarray):
     """The array a traversal of the substrate C walks, its rows function, and
     its cap: None, or a copy of C with the distance's near function."""
@@ -113,7 +99,7 @@ def _walk(distance, C: np.ndarray):
     if feature_rows is not None:
         F, rows, near = feature_rows(C)
         return F, rows, None if near is None else (C.copy(), near)
-    return C.copy(), _rows_fn(distance), None
+    return C.copy(), distance.rows, None
 
 
 def _compact(X: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -230,10 +216,9 @@ def covering_curve(substrate, distance, epsilon_list) -> CoveringCurve:
         # one center leaves no pair to probe; covered is then its row's maximum
         diam = covered
     else:
-        rows = _rows_fn(distance)
         probe = order[:_DIAM_PROBE]
-        diam = max(float(rows(C[i], C[probe]).max()) for i in probe)
-    return CoveringCurve(entries=entries, distance_id=_distance_id(distance),
+        diam = max(float(distance.rows(C[i], C[probe]).max()) for i in probe)
+    return CoveringCurve(entries=entries, distance_id=distance.name,
                          diameter=diam, row_entries=row_entries)
 
 
@@ -325,8 +310,6 @@ def dudley_report(curve: CoveringCurve) -> DudleyReport:
 
 def lp_covering_bound(model, r: float) -> float:
     """Closed-form ball-covering bound vol * (2n/s_{n-1}) * pi^(n-1) * r^-n."""
-    from .manifold import weyl_constants
-
     if model.curvature_sup > 0:
         curve_limit = math.pi / math.sqrt(model.curvature_sup)
     else:

@@ -54,15 +54,6 @@ class WeylConstants:
     alpha_n: float
     sphere_area: float
 
-    @classmethod
-    def for_dimension(cls, n: int) -> "WeylConstants":
-        if n not in (1, 2, 3):
-            raise ValueError(f"dimension must be 1, 2 or 3, got {n}")
-        omega = math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
-        return cls(omega_n=omega,
-                   alpha_n=omega / (2.0 * math.pi) ** n,
-                   sphere_area=n * omega)
-
 
 @dataclass(frozen=True, eq=False)
 class Point:
@@ -102,7 +93,10 @@ def flat_torus(side_lengths) -> ManifoldModel:
 
 
 def weyl_constants(model: ManifoldModel) -> WeylConstants:
-    return WeylConstants.for_dimension(model.dim)
+    n = model.dim
+    omega = math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
+    return WeylConstants(omega_n=omega, alpha_n=omega / (2.0 * math.pi) ** n,
+                         sphere_area=n * omega)
 
 
 def make_point(model: ManifoldModel, coords) -> Point:
@@ -165,15 +159,12 @@ def geodesic_distance(model: ManifoldModel, x: Point, y: Point) -> float:
 
 
 class GeodesicDistance:
-    """Geodesic distance as a pairwise callable with a vectorized row method."""
+    """Geodesic distance for net builders: geodesic_rows of the model."""
 
     name = "d_g"
 
     def __init__(self, model: ManifoldModel):
         self.model = model
-
-    def __call__(self, x: Point, y: Point) -> float:
-        return geodesic_distance(self.model, x, y)
 
     def rows(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         return geodesic_rows(self.model, X, Y)

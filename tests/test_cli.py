@@ -339,6 +339,24 @@ def test_empty_band_exits_before_geodesic_nets(tmp_path, capsys, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("argv,scan", [
+    (["lipschitz", "--lambdas", "60,0.1"], "lipschitz_scan"),
+    (["diameter", "--lambdas", "40,0.1"], "diameter_estimate"),
+])
+def test_empty_band_in_list_exits_before_any_scan(tmp_path, capsys, monkeypatch, argv, scan):
+    calls = _forbid(monkeypatch, em, scan)
+    assert _run([*argv, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert "band at lambda=0.1 is empty" in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize("subcommand", ["profile", "isometry"])
+def test_empty_band_exits_config(tmp_path, capsys, subcommand):
+    assert _run([subcommand, "--lambda", "0.1", "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert "band at lambda=0.1 is empty" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_bad_lambda_in_list_exits_before_any_sup(tmp_path, capsys, monkeypatch):
     calls = _forbid(monkeypatch, wv, "expected_sup")
     assert _run(["supnorm", "--lambdas", "80,0.9", "--samples", "200",

@@ -22,7 +22,8 @@ TORUS = mf.flat_torus((2.0 * math.pi, 2.0 * math.pi))
 
 def _brute_min_cover(points, distance, eps):
     n = len(points)
-    D = np.array([[distance(a, b) for b in points] for a in points])
+    C = np.stack([p.coords for p in points])
+    D = np.stack([distance.rows(c, C) for c in C])
     for k in range(1, n + 1):
         for centers in itertools.combinations(range(n), k):
             if np.all(D[list(centers)].min(axis=0) <= eps):
@@ -74,28 +75,39 @@ def test_greedy_net_trivial_cases():
             en.greedy_net(pts, dg, bad)
 
 
+class _NanAt(mf.GeodesicDistance):
+    """The geodesic, but nan from or to the point at coordinates bad."""
+
+    def __init__(self, model, bad):
+        super().__init__(model)
+        self.bad = bad
+
+    def rows(self, X, Y):
+        d = super().rows(X, Y)
+        d[np.all(Y == self.bad, axis=-1)] = math.nan
+        if np.array_equal(X, self.bad):
+            d[...] = math.nan
+        return d
+
+
 def test_nan_distance_raises():
     pts = mf.quasi_uniform_grid(SPHERE, 50)
-    bad = pts[7].coords
-
-    def d(a, b):
-        if np.array_equal(a.coords, bad) or np.array_equal(b.coords, bad):
-            return math.nan
-        return mf.geodesic_distance(SPHERE, a, b)
-
+    d = _NanAt(SPHERE, pts[7].coords)
     with pytest.raises(ValueError, match="nan"):
         en.greedy_net(pts, d, 0.5)
     with pytest.raises(ValueError, match="nan"):
         en.covering_curve(pts, d, [1.0, 0.5])
 
 
-def test_greedy_net_accepts_plain_callable():
+def test_plain_function_is_no_distance():
+    # a distance is its name and rows: the traversal walks nothing else
     pts = mf.quasi_uniform_grid(SPHERE, 60)
+
     def d(a, b):
         return mf.geodesic_distance(SPHERE, a, b)
-    net = en.greedy_net(pts, d, 1.2)
-    ref = en.greedy_net(pts, mf.GeodesicDistance(SPHERE), 1.2)
-    assert len(net.centers) == len(ref.centers)
+
+    with pytest.raises(AttributeError, match="rows"):
+        en.greedy_net(pts, d, 1.2)
 
 
 def test_covering_curve_matches_pointwise_greedy():
@@ -211,17 +223,7 @@ def _route(kind, model, lam=6.0):
                                                    dist._k)
 
         return dist, full_rows
-    if kind == "geodesic":
-        return mf.GeodesicDistance(model), lambda C: lambda j: mf.geodesic_rows(model, C[j], C)
-
-    def d(a, b):
-        return mf.geodesic_distance(model, a, b)
-
-    def full_rows(C):
-        P = [mf.make_point(model, c) for c in C]
-        return lambda j: np.array([d(P[j], q) for q in P])
-
-    return d, full_rows
+    return mf.GeodesicDistance(model), lambda C: lambda j: mf.geodesic_rows(model, C[j], C)
 
 
 @pytest.mark.parametrize("kind,model,lam,count,fractions", [
@@ -230,7 +232,6 @@ def _route(kind, model, lam=6.0):
     ("feature", TORUS, 6.0, 2000, (0.7, 0.45)),
     ("geodesic", SPHERE, None, 2000, (0.3, 0.08)),
     ("geodesic", TORUS, None, 2000, (0.3, 0.08)),
-    ("callable", SPHERE, None, 300, (0.25, 0.12)),
 ])
 def test_live_set_traversal_matches_full_substrate(kind, model, lam, count, fractions):
     distance, full_rows = _route(kind, model, lam)
@@ -249,7 +250,7 @@ def test_live_set_traversal_matches_full_substrate(kind, model, lam, count, frac
         assert count <= row_entries < count * len(order)
 
 
-@pytest.mark.parametrize("kind", ["feature", "geodesic", "callable"])
+@pytest.mark.parametrize("kind", ["feature", "geodesic"])
 @pytest.mark.parametrize("model", [SPHERE, TORUS])
 def test_live_set_empties_on_degenerate_substrates(kind, model):
     # the live set can empty before the stop test; argmax of an empty array

@@ -3,8 +3,8 @@ the modules that work on coordinate rows name no Point.
 
 Each module's private helpers are its own; a shared quantity gets a
 public function in the module that owns it. Points are checked and
-unwrapped at the public edge, so basis, specfun, spectrum and waves see
-only coordinate arrays.
+unwrapped at the public edge, so basis, entropy, specfun, spectrum and
+waves see only coordinate arrays.
 """
 
 import ast
@@ -70,7 +70,7 @@ def test_no_cross_module_private_reads():
 
 
 # modules that work on coordinate rows only: Points stay at the public edge
-ROW_MODULES = ("basis", "specfun", "spectrum", "waves")
+ROW_MODULES = ("basis", "entropy", "specfun", "spectrum", "waves")
 POINT_NAMES = {"Point", "check_point", "make_point"}
 
 

@@ -185,6 +185,36 @@ def test_bench_tier1_run_records_wall_time_and_counts(monkeypatch):
     assert kwargs["env"]["PYTHONPATH"] == str(SCRIPTS.parent / "src")
 
 
+def test_bench_outputs_digest_each_jobs_csv(monkeypatch):
+    # scripts/run_all.py writes one CSV and one JSON per job; only CSVs count
+    bench = _load("bench")
+    files = {"weyl-20260101-000000.csv": "a,b\n1,2\n",
+             "weyl-20260101-000000.json": "{}\n",
+             "band-20260101-000001.csv": "x\n"}
+    calls = []
+
+    def fake_run_all(cmd, **kwargs):
+        calls.append((cmd, kwargs))
+        out = Path(cmd[cmd.index("--out") + 1])
+        for name, text in files.items():
+            (out / name).write_text(text)
+        return bench.subprocess.CompletedProcess(cmd, 0, "", "")
+
+    monkeypatch.setattr(bench.subprocess, "run", fake_run_all)
+    got = bench._outputs(SCRIPTS.parent)
+    assert got == {"exit": 0, "csv_sha256": {
+        "weyl": bench.hashlib.sha256(b"a,b\n1,2\n").hexdigest(),
+        "band": bench.hashlib.sha256(b"x\n").hexdigest()}}
+    (cmd, kwargs), = calls
+    assert cmd[1] == "scripts/run_all.py" and cmd[cmd.index("--seed") + 1] == "0"
+    assert kwargs["cwd"] == SCRIPTS.parent
+    assert kwargs["env"]["PYTHONPATH"] == str(SCRIPTS.parent / "src")
+    assert kwargs["env"]["OPENBLAS_NUM_THREADS"] == "1"
+    changed = {"exit": 0, "csv_sha256": {"weyl": got["csv_sha256"]["weyl"], "claim": "0f"}}
+    assert bench.differing_outputs(got, got) == []
+    assert bench.differing_outputs(got, changed) == ["band", "claim"]
+
+
 def _write_tree(root, files):
     for name, text in files.items():
         path = root / name
@@ -210,6 +240,12 @@ def test_bench_report_records_each_sides_source_lines(tmp_path, monkeypatch):
         "correct": True, "attempted": 1, "failed": 0, "metrics": {"study_s": 0.1}})
     monkeypatch.setattr(bench, "_verify", lambda root: {"exit": 0})
     monkeypatch.setattr(bench, "_tier1", lambda root: {"exit": 0})
+    digests = {change: {"weyl": "aa", "band": "bb"}}
+    monkeypatch.setattr(bench, "_outputs", lambda root: {
+        "exit": 0, "csv_sha256": digests.get(root, {"weyl": "aa", "band": "cc"})})
     assert bench.main(["--pr", "7", "--parent", "HEAD", "--seeds", "1"]) == 0
     report = json.loads((change / "BENCH_7.json").read_text())
     assert report["src_lines"] == {"change": 3, "parent": 1}
+    assert report["outputs"]["change"]["csv_sha256"] == {"weyl": "aa", "band": "bb"}
+    assert report["outputs"]["parent"]["csv_sha256"] == {"weyl": "aa", "band": "cc"}
+    assert report["outputs"]["differ"] == ["band"]
