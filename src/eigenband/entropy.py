@@ -207,6 +207,7 @@ def covering_curve(substrate, distance, epsilon_list) -> CoveringCurve:
         raise ValueError("epsilon values must be sorted descending")
     if len(substrate) == 0:
         raise ValueError("substrate is empty")
+    name = distance.name  # a distance without one fails before its traversal
     C = np.array([p.coords for p in substrate])
     order, radii, covered, row_entries = _farthest_point_order(*_walk(distance, C),
                                                                 min(eps))
@@ -218,7 +219,7 @@ def covering_curve(substrate, distance, epsilon_list) -> CoveringCurve:
     else:
         probe = order[:_DIAM_PROBE]
         diam = max(float(distance.rows(C[i], C[probe]).max()) for i in probe)
-    return CoveringCurve(entries=entries, distance_id=distance.name,
+    return CoveringCurve(entries=entries, distance_id=name,
                          diameter=diam, row_entries=row_entries)
 
 

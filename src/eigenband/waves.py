@@ -37,12 +37,19 @@ columns (up to the band's largest order or last-axis |k|) and scan a level
 in blocks of rows, so a block's size is bounded whatever lambda is. No
 level keeps its grid: a wave's peak node is computed from its flat index.
 
+The ring grid is closed under x -> -x (ring N - 1 - j is ring j reflected,
+azimuth k + N is azimuth k plus pi) and Y(-x) = (-1)^l Y(x), so a sphere
+level tabulates and scans its northern ceil(N / 2) rings only. At even l
+their extrema are the sphere's; at odd l the max is max(max_N, -min_N) and
+the min min(min_N, -max_N), a folded extremum at its northern node's antipode.
+
 One scan of a level records each wave's max and min with their flat
 indices, and both statistics take their grid peaks from it: sup wave is
-the max, sup |wave| the extremum of larger magnitude (the lower index on a
-tie, as np.abs(V).argmax() would pick). A level object keeps the extrema of
-the last coefficient matrix it scanned, keyed on that matrix's exact shape
-and contents, so a second statistic of the same waves scans no grid again.
+the max, sup |wave| the extremum of larger magnitude. A tie keeps the
+lower flat index, and the northern node against its folded twin. A level
+object keeps the extrema of the last coefficient matrix it scanned, keyed
+on that matrix's exact shape and contents, so a second statistic of the
+same waves scans no grid again.
 """
 
 from __future__ import annotations
@@ -88,7 +95,8 @@ class SupNormEstimate:
     level_peaks: tuple[float, ...]
     # mean over the waves of the refined sup minus the best grid peak
     refine_gain: float
-    # grid points of each ladder level, coarsest first; they sum to grid_points
+    # grid points of each ladder level (the whole grid the scan covers, both
+    # hemispheres of a sphere level), coarsest first; they sum to grid_points
     level_sizes: tuple[int, ...]
 
 
@@ -161,10 +169,11 @@ class _SupLevels:
     """Grid shapes for one band and the scan of each level.
 
     A level's values come from its spectrum, one real inverse FFT per row:
-    sphere rings from one real (rings x (l + 1)) table of the band's single
-    degree l, as the module docstring says, and torus last-axis rows from
-    basis.torus_half_spectrum. A spectrum keeps only its used columns. The
-    object keeps each level's extrema (four numbers per wave, no level
+    northern sphere rings from one real (rings x (l + 1)) table of the band's
+    single degree l, unfolded as the module docstring says (a tie keeps the
+    northern node; sizes count the whole grid), and torus last-axis rows
+    from basis.torus_half_spectrum. A spectrum keeps only its used columns.
+    The object keeps each level's extrema (four numbers per wave, no level
     values) for the last matrix it scanned.
     """
 
@@ -183,9 +192,10 @@ class _SupLevels:
             # sqrt(2) Pbar_l^m(theta), or Pbar_l^0 for m = 0; irfft halves the
             # m > 0 bins and divides by 2 rings
             weight = np.where(np.arange(l + 1) == 0, 2.0, 1.0)
+            # northern rings only; _level_extrema unfolds the south by parity
             self._tables = [bs.mode_matrix(self.model, band.modes[l:],
-                                           _ring_nodes(n, 2 * n * np.arange(n))) * (n * weight)
-                            for n, in self.shapes]
+                                           _ring_nodes(n, 2 * n * np.arange((n + 1) // 2)))
+                            * (n * weight) for n, in self.shapes]
         else:
             self.shapes = [tuple(_smooth(max(1, math.ceil(L / s)))
                                  for L in self.model.side_lengths)
@@ -228,7 +238,8 @@ class _SupLevels:
 
         Blocks of rows come in flat-index order, and a later block takes
         over only on a strict > (max) or < (min), so a tie keeps the lower
-        index, as one argmax over the whole level would. One zero-padded
+        index, as one argmax over the rows scanned would; a sphere level
+        then unfolds its northern extrema to the whole sphere. One zero-padded
         spectrum block and one values block serve the whole level: reused,
         they cost no fresh pages per block (a fresh values array per wave
         put 3 MiB on the peak resident size of the lambda 40 torus ladder).
@@ -237,12 +248,13 @@ class _SupLevels:
         at = np.empty((2, n_waves), dtype=np.intp)
         vals = np.empty((2, n_waves))
         block = max(1, _CHUNK // self.sizes[li])
+        sphere = self.model.kind == SPHERE2
+        row_len = 2 * self.shapes[li][0] if sphere else self.shapes[li][-1]
         half = None
         for b in range(0, n_waves, block):
             waves = slice(b, b + block)
             spec = self._spectrum(li, A[:, waves])
             n_rows, width = spec.shape[1:]
-            row_len = self.sizes[li] // n_rows
             step = max(1, _CHUNK // width)
             if half is None:
                 shape = (len(spec), min(step, n_rows))
@@ -264,6 +276,15 @@ class _SupLevels:
                     take = beats(v, best) | (r == 0)
                     best_at[take] = j[take] + r * row_len
                     best[take] = v[take]
+        if sphere and self._degree % 2:
+            # the south's max is minus the north's min, at its antipode (ring
+            # N - 1 - j, azimuth k + N), and vice versa; a tie keeps the north
+            n = self.shapes[li][0]
+            j, k = np.divmod(at[::-1], 2 * n)
+            flip, sign = -vals[::-1], np.array([[1.0], [-1.0]])
+            take = sign * flip > sign * vals
+            at = np.where(take, (n - 1 - j) * 2 * n + (k + n) % (2 * n), at)
+            vals = np.where(take, flip, vals)
         return at, vals
 
     def _scan(self, A: np.ndarray) -> list:

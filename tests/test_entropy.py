@@ -110,6 +110,22 @@ def test_plain_function_is_no_distance():
         en.greedy_net(pts, d, 1.2)
 
 
+def test_nameless_distance_fails_before_its_traversal():
+    # an object with rows but no name is no distance: covering_curve reads
+    # the name first, so no row is computed
+    calls = []
+
+    class Nameless:
+        def rows(self, X, Y):
+            calls.append(len(Y))
+            return mf.GeodesicDistance(SPHERE).rows(X, Y)
+
+    pts = mf.quasi_uniform_grid(SPHERE, 60)
+    with pytest.raises(AttributeError, match="name"):
+        en.covering_curve(pts, Nameless(), [1.0, 0.5])
+    assert calls == []
+
+
 def test_covering_curve_matches_pointwise_greedy():
     pts = mf.quasi_uniform_grid(SPHERE, 400)
     dg = mf.GeodesicDistance(SPHERE)

@@ -162,21 +162,25 @@ def _level_grids(levels):
 
 
 def _brute_force_sups(levels, A, use_abs):
-    # every level scanned by mode_matrix @ coefficients, then refined per wave
+    # every level scanned in full by mode_matrix @ coefficients, then refined
+    # per wave; also each level's grid peak and its flat index (levels x waves)
     model, modes = levels.model, levels.band.modes
     sups = []
+    peaks = np.empty((len(levels.sizes), A.shape[1]))
+    at = np.empty(peaks.shape, dtype=np.intp)
     for si in range(A.shape[1]):
         best = -np.inf
-        for C, h in zip(_level_grids(levels), levels.spacings):
+        for li, (C, h) in enumerate(zip(_level_grids(levels), levels.spacings)):
             v = bs.mode_matrix(model, modes, C) @ A[:, si]
             if use_abs:
                 v = np.abs(v)
             j = int(v.argmax())
+            peaks[li, si], at[li, si] = v[j], j
             best = max(best, float(v[j]),
                        _reference_refined(model, modes, C[j], float(v[j]), h,
                                           A[:, si], use_abs))
         sups.append(best)
-    return np.array(sups)
+    return np.array(sups), peaks, at
 
 
 def _scan_matches_mode_matrix_scan(model, lam, density, use_abs):
@@ -184,10 +188,18 @@ def _scan_matches_mode_matrix_scan(model, lam, density, use_abs):
     A = np.stack([wv.sample_wave(band, 21, i).coefficients for i in range(6)], axis=1)
     levels = wv._SupLevels(band, density)
     got, peaks = levels.batch_sups(A, use_abs=use_abs)
-    want = _brute_force_sups(levels, A, use_abs)
+    want, want_peaks, want_at = _brute_force_sups(levels, A, use_abs)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(peaks, want_peaks, rtol=1e-12, atol=0.0)
     assert peaks.shape == (len(levels.sizes), A.shape[1])
     assert np.all(got >= peaks.max(axis=0))
+    return levels, A, want_at
+
+
+def _antipode(rings, index):
+    # ring N - 1 - j, azimuth k + N of the ring grid with N rings
+    j, k = np.divmod(index, 2 * rings)
+    return (rings - 1 - j) * 2 * rings + (k + rings) % (2 * rings)
 
 
 @pytest.mark.parametrize("sides,lam,density", [
@@ -200,10 +212,16 @@ def test_torus_fft_scan_matches_mode_matrix_scan(sides, lam, density, use_abs):
     _scan_matches_mode_matrix_scan(mf.flat_torus(sides), lam, density, use_abs)
 
 
-@pytest.mark.parametrize("lam,density", [(12.0, 6.0), (20.0, 4.0)])
+# degrees 11, 20, 3 and 21; 45 rings on the single level of lambda 20 and 20.6
+@pytest.mark.parametrize("lam,density", [(12.0, 6.0), (20.0, 4.0), (2.5, 6.0), (20.6, 4.0)])
 @pytest.mark.parametrize("use_abs", [True, False])
 def test_sphere_ring_scan_matches_mode_matrix_scan(lam, density, use_abs):
-    _scan_matches_mode_matrix_scan(SPHERE, lam, density, use_abs)
+    levels, A, want_at = _scan_matches_mode_matrix_scan(SPHERE, lam, density, use_abs)
+    if not use_abs:
+        # the scan covers the northern rings and unfolds the south: the max
+        # sits at the full grid's argmax or at its antipode
+        for li, ((rings,), (at, _)) in enumerate(zip(levels.shapes, levels._scan(A))):
+            assert np.all((at[0] == want_at[li]) | (at[0] == _antipode(rings, want_at[li])))
 
 
 def _is_5_smooth(n):
@@ -278,8 +296,8 @@ def test_torus_levels_keep_no_grids():
 
 
 def test_sphere_levels_keep_real_tables():
-    # one real (rings x (l + 1)) table per level; complex tables of every
-    # mode would keep about four times as much
+    # one real (northern rings x (l + 1)) table per level; complex tables of
+    # every mode on every ring would keep about eight times as much
     band = sp.enumerate_band(SPHERE, 80.0)
     tracemalloc.start()
     try:
@@ -289,14 +307,15 @@ def test_sphere_levels_keep_real_tables():
     finally:
         tracemalloc.stop()
     l = band.modes[0].label[0]
-    assert kept < sum(n * (l + 1) * 8 for n, in levels.shapes) + (64 << 10)
+    # on the northern rings only, ceil(N / 2) of N
+    assert kept < sum((n + 1) // 2 * (l + 1) * 8 for n, in levels.shapes) + (64 << 10)
 
 
 def _complex_table_spectrum(levels):
     """Level spectra by complex per-mode tables: each mode's column at azimuth
     0 times its weight, 2 or 1 for cos and -i for sin, sorted stably by |m|
     and summed into the full azimuthal spectrum (rings + 1 columns) by
-    np.add.reduceat."""
+    np.add.reduceat; on the rings the level scans, the northern ceil(N / 2)."""
     labels = [mode.label for mode in levels.band.modes]
     orders = np.array([abs(m) for _, m in labels])
     order_sort = np.argsort(orders, kind="stable")
@@ -305,13 +324,13 @@ def _complex_table_spectrum(levels):
     weight = (np.where(orders == 0, 2.0, 1.0)
               * np.array([1.0 if m >= 0 else -1j for _, m in labels]))[order_sort]
     tables = [bs.mode_matrix(levels.model, levels.band.modes,
-                             wv._ring_nodes(n, 2 * n * np.arange(n)))
+                             wv._ring_nodes(n, 2 * n * np.arange((n + 1) // 2)))
               [:, cos_of][:, order_sort] * (n * weight) for n, in levels.shapes]
 
     def spectrum(li, Ab):
         rings, = levels.shapes[li]
         terms = tables[li][None, :, :] * Ab[order_sort].T[:, None, :]
-        spec = np.zeros((Ab.shape[1], rings, rings + 1), dtype=complex)
+        spec = np.zeros((Ab.shape[1], (rings + 1) // 2, rings + 1), dtype=complex)
         spec[:, :, present] = np.add.reduceat(terms, starts, axis=2)
         return spec
 
