@@ -24,9 +24,10 @@ every run's metrics and round count (`peak_rss_mb` grows with the rounds
 a run keeps), each side's traced metrics, criterion seconds, tier-1
 run, CSV digests and source size (lines of every `*.py` under `src/`, as
 `wc -l` counts them), the jobs whose CSVs differ between the sides and,
-per workload, each side's median and quartiles of every end-to-end metric,
-the number of pairs in which the change read better, and a verdict on the
-change's median against the metric's bound.
+per workload, each side's median and quartiles of every end-to-end metric
+and its least-squares slope (MiB per round) and intercept of `peak_rss_mb`
+against the round count, the number of pairs in which the change read
+better, and a verdict on the change's median against the metric's bound.
 
 Left out: the traced, verify and tier-1 runs are single runs, not paired
 medians, so they show where time went rather than prove a gain.
@@ -92,11 +93,23 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     return {"relative_change": rel, "bound": bound, "verdict": word}
 
 
+def rss_per_round(runs: list[dict]) -> dict | None:
+    """Least-squares slope (MiB per round) and intercept (MiB) of the runs'
+    peak_rss_mb against their round counts, None below two distinct counts."""
+    pts = [(r["rounds"], r["metrics"]["peak_rss_mb"]) for r in runs
+           if r.get("rounds") is not None and "peak_rss_mb" in r["metrics"]]
+    if len({x for x, _ in pts}) < 2:
+        return None
+    slope, intercept = statistics.linear_regression(*zip(*pts))
+    return {"mib_per_round": slope, "intercept_mib": intercept, "runs": len(pts)}
+
+
 def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     """Per workload: each side's median and quartiles of every metric of
-    end_to_end (BENCHMARK.json's entries), the failed operations, for each
-    metric how many seeds' pairs the change won (read lower) and tied, and
-    the verdict on the change's median against the metric's bound."""
+    end_to_end (BENCHMARK.json's entries), the failed operations, each
+    side's fit of peak_rss_mb against the round count (rss_per_round), for
+    each metric how many seeds' pairs the change won (read lower) and tied,
+    and the verdict on the change's median against the metric's bound."""
     out: dict = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         mine = [r for r in runs if r["workload"] == workload]
@@ -106,13 +119,15 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
                                         if r["side"] == side and spec["name"] in r["metrics"]]
                          for spec in end_to_end}
                   for side in SIDES}
-        entry: dict = {"failed_ops": {}, "sides": {}, "pairs": {}, "verdicts": {}}
+        entry: dict = {"failed_ops": {}, "sides": {}, "rss_per_round": {}, "pairs": {},
+                       "verdicts": {}}
         for side in SIDES:
             rows = [r for r in mine if r["side"] == side]
             if not rows:
                 continue
             entry["failed_ops"][side] = sum(r["failed"] for r in rows)
             entry["sides"][side] = {m: _quartiles(v) for m, v in values[side].items() if v}
+            entry["rss_per_round"][side] = rss_per_round(rows)
         for spec in end_to_end:
             m = spec["name"]
             diffs = [by_seed["parent"][s][m] - by_seed["change"][s][m]
@@ -211,10 +226,27 @@ def _tier1(root: Path) -> dict:
                              for line in proc.stdout.splitlines() if line.startswith("FAILED ")]}
 
 
+def job_keys(names: list[str]) -> dict[str, str]:
+    """A key for each CSV name `<subcommand>-<date>-<time>[-<k>].csv` that
+    eigenband writes: the subcommand for its first job, then `.2`, `.3`, ...
+    for its later ones, in the order the names were written."""
+    def written(name: str):
+        stem = name[:-len(".csv")].split("-")
+        return stem[1:3], int(stem[3]) if len(stem) > 3 else 0
+
+    keys: dict[str, str] = {}
+    seen: dict[str, int] = {}
+    for name in sorted(names, key=written):
+        job = name.split("-")[0]
+        seen[job] = seen.get(job, 0) + 1
+        keys[name] = job if seen[job] == 1 else f"{job}.{seen[job]}"
+    return keys
+
+
 def _outputs(root: Path) -> dict:
     """One `scripts/run_all.py --seed 0` run on root's sources, with one BLAS
-    thread: its exit code and the sha256 of each job's CSV, keyed by the
-    job's subcommand (the CSV name's first word)."""
+    thread: its exit code and the sha256 of each job's CSV, keyed as
+    job_keys says."""
     with tempfile.TemporaryDirectory(prefix="bench-outputs-") as out:
         try:
             proc = subprocess.run([sys.executable, "scripts/run_all.py", "--out", out,
@@ -223,8 +255,9 @@ def _outputs(root: Path) -> dict:
         except subprocess.TimeoutExpired:
             print("bench: run_all timed out", file=sys.stderr)
             return {"exit": None, "csv_sha256": {}}
-        digests = {path.name.split("-")[0]: hashlib.sha256(path.read_bytes()).hexdigest()
-                   for path in sorted(Path(out).glob("*.csv"))}
+        paths = {path.name: path for path in Path(out).glob("*.csv")}
+        digests = {key: hashlib.sha256(paths[name].read_bytes()).hexdigest()
+                   for name, key in job_keys(list(paths)).items()}
     return {"exit": proc.returncode, "csv_sha256": digests}
 
 

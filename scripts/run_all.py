@@ -19,6 +19,8 @@ JOBS = [
     ("supnorm", ["--lambdas", "20,40,80,160", "--samples", "60"]),
     ("dudley", ["--lambda", "40", "--samples", "60", "--substrate", "8000"]),
     ("diameter", ["--kind", "sphere2", "--lambdas", "20,40"]),
+    ("supnorm", ["--kind", "torus", "--lambdas", "20,40"]),
+    ("diameter", ["--kind", "torus", "--lambdas", "20,40", "--substrate", "250000"]),
     ("covering", ["--lambda", "9", "--substrate", "8000"]),
     ("claim", []),
 ]

@@ -28,7 +28,6 @@ __all__ = [
     "mode_matrix",
     "torus_grid_values",
     "torus_half_spectrum",
-    "torus_row_values",
     "gradient_matrix",
     "orthonormality_check",
 ]
@@ -221,19 +220,21 @@ def torus_half_spectrum(model: ManifoldModel, modes, A: np.ndarray, counts) -> n
     A mode of frequency 2 pi k / L has phase 2 pi k.j / c at node j, and
     a cos + b sin = (a - i b)/2 e^{i theta} + (a + i b)/2 e^{-i theta}, so the
     values are one real inverse FFT of the Hermitian lattice with those halves
-    at k and -k mod counts, exact for any counts. Of the half below
-    counts[-1] // 2 + 1 on the last axis, both halves can land on its zero
-    and Nyquist planes, where they are summed. Every site of that half lies
-    in the columns up to the band's largest |k| on the last axis, so only
-    those width columns are built and transformed: the rest are zeros, whose
-    transform is zeros.
+    at k and -k mod counts, exact for any counts. The inverse FFTs divide by
+    prod(counts), so the halves carry the amplitude prod(counts) sqrt(2 / vol)
+    of the grid values. Of the half below counts[-1] // 2 + 1 on the last
+    axis, both halves can land on its zero and Nyquist planes, where they are
+    summed. Every site of that half lies in the columns up to the band's
+    largest |k| on the last axis, so only those width columns are built and
+    transformed: the rest are zeros, whose transform is zeros.
     """
     counts = tuple(counts)
     K, is_cos = _torus_labels(model, modes)
     width = min(int(np.abs(K[:, -1]).max(initial=0)) + 1, counts[-1] // 2 + 1)
     used = (*counts[:-1], width)
     sites = np.concatenate([K, -K]) % np.array(counts)
-    C = A.T * np.where(is_cos, 0.5, -0.5j)
+    amplitude = math.prod(counts) * math.sqrt(2.0 / model.volume)
+    C = A.T * (np.where(is_cos, 0.5, -0.5j) * amplitude)
     keep = sites[:, -1] < width
     spectrum = np.zeros((A.shape[1], *used), dtype=complex)
     np.add.at(spectrum.reshape(len(spectrum), -1),
@@ -245,28 +246,13 @@ def torus_half_spectrum(model: ManifoldModel, modes, A: np.ndarray, counts) -> n
     return spectrum.reshape(len(spectrum), -1, width)
 
 
-def torus_row_values(model: ManifoldModel, half: np.ndarray, counts,
-                     out: np.ndarray | None = None) -> np.ndarray:
-    """Grid values along the last axis of rows of the half lattice of
-    torus_half_spectrum(..., counts), (..., counts[-1] // 2 + 1) with zeros
-    past its used columns: (..., counts[-1]), into out if given. Any block
-    of rows gives the values of the whole lattice bit for bit. irfft would
-    pad the used columns with zeros itself, to the same bits, but about 40%
-    slower."""
-    V = np.fft.irfft(half, n=counts[-1], axis=-1, out=out)
-    return np.multiply(V, math.prod(counts) * math.sqrt(2.0 / model.volume), out=V)
-
-
 def torus_grid_values(model: ManifoldModel, modes, A: np.ndarray, counts) -> np.ndarray:
     """Values of the coefficient columns of A (modes x columns) on the torus
     product grid with counts[i] nodes on axis i: (columns, points), points
-    in the C order of manifold.product_grid; one inverse FFT of the half
-    lattice of torus_half_spectrum, exact for any counts."""
+    in the C order of manifold.product_grid; one real inverse FFT of the rows
+    of torus_half_spectrum, which irfft pads with zeros, exact for any counts."""
     spectrum = torus_half_spectrum(model, modes, A, counts)
-    half = np.zeros((*spectrum.shape[:2], counts[-1] // 2 + 1), dtype=complex)
-    half[..., :spectrum.shape[2]] = spectrum
-    del spectrum  # so that it does not outlive the half lattice's copy of it
-    return torus_row_values(model, half, counts).reshape(len(half), -1)
+    return np.fft.irfft(spectrum, n=counts[-1], axis=-1).reshape(len(spectrum), -1)
 
 
 def _sphere_gradient_ambient(modes, coords: np.ndarray) -> np.ndarray:

@@ -114,6 +114,9 @@ def _load_config(path, overrides: dict) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     raw.update({k: v for k, v in overrides.items() if v is not None})
+    if "lam" in raw and "lams" in raw:
+        # the studies read lams when it is set, so lam would be silently dropped
+        raise ConfigError("set one of lambda and lambdas, not both")
     cfg = ExperimentConfig(**{f.name: _typed(f, raw[f.name])
                               for f in fields if f.name in raw})
     if cfg.kind not in ("sphere2", "torus"):
@@ -125,6 +128,10 @@ def _load_config(path, overrides: dict) -> ExperimentConfig:
             raise ConfigError(f"{name} must be >= 1")
     if cfg.grid_density < wv.LADDER_BASE:
         raise ConfigError(f"grid_density must be >= {wv.LADDER_BASE}")
+    if cfg.eps_max < 0 or cfg.eps_min < 0:
+        raise ConfigError("eps_max and eps_min must be >= 0 (0 picks the default)")
+    if 0 < cfg.eps_max <= cfg.eps_min:
+        raise ConfigError("eps_min must be below eps_max")
     return cfg
 
 

@@ -32,10 +32,13 @@ trigonometric polynomial in phi of order at most l < N: order m's column
 of the level's real (rings x (l + 1)) table of normalized Legendre values,
 times the cos coefficient and times minus the sin coefficient, gives the
 real and imaginary parts of its azimuthal spectrum at m, and one row-wise
-irfft gives the level exactly. Both models keep only the spectrum's used
-columns (up to the band's largest order or last-axis |k|) and scan a level
-in blocks of rows, so a block's size is bounded whatever lambda is. No
-level keeps its grid: a wave's peak node is computed from its flat index.
+irfft gives the level exactly. Each model folds its amplitude into its
+spectrum, the torus into the half lattice's coefficients and the sphere into
+its ring table, so a row of either is one plain irfft of its used columns
+padded with zeros. Both models keep only the spectrum's used columns (up to
+the band's largest order or last-axis |k|) and scan a level in blocks of
+rows, so a block's size is bounded whatever lambda is. No level keeps its
+grid: a wave's peak node is computed from its flat index.
 
 The ring grid is closed under x -> -x (ring N - 1 - j is ring j reflected,
 azimuth k + N is azimuth k plus pi) and Y(-x) = (-1)^l Y(x), so a sphere
@@ -168,7 +171,7 @@ _CHUNK = 1 << 16
 class _SupLevels:
     """Grid shapes for one band and the scan of each level.
 
-    A level's values come from its spectrum, one real inverse FFT per row:
+    A level's values come from its amplitude-carrying spectrum, one irfft per row:
     northern sphere rings from one real (rings x (l + 1)) table of the band's
     single degree l, unfolded as the module docstring says (a tie keeps the
     northern node; sizes count the whole grid), and torus last-axis rows
@@ -212,8 +215,8 @@ class _SupLevels:
         return mf.product_grid_nodes(self.model, self.shapes[li], index)
 
     def _spectrum(self, li: int, Ab: np.ndarray) -> np.ndarray:
-        """Level li's spectrum of the coefficient columns Ab: (waves, rows,
-        used columns), complex."""
+        """Level li's spectrum of the coefficient columns Ab, its amplitude
+        folded in: (waves, rows, used columns), complex."""
         if self.model.kind == SPHERE2:
             l, table = self._degree, self._tables[li]
             # a_m cos + a_-m sin = Re((a_m - i a_-m) e^{i m phi})
@@ -223,14 +226,6 @@ class _SupLevels:
                         out=spec.imag[..., 1:])
             return spec
         return bs.torus_half_spectrum(self.model, self.band.modes, Ab, self.shapes[li])
-
-    def _row_values(self, li: int, half: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Grid values, into out, of a block of rows of level li's half
-        spectrum, the used columns padded with zeros to row length // 2 + 1:
-        (..., row length)."""
-        if self.model.kind == SPHERE2:
-            return np.fft.irfft(half, n=2 * self.shapes[li][0], axis=-1, out=out)
-        return bs.torus_row_values(self.model, half, self.shapes[li], out)
 
     def _level_extrema(self, li: int, A: np.ndarray):
         """Flat index (2 x waves) and value (2 x waves) of each wave's max
@@ -265,8 +260,8 @@ class _SupLevels:
                 buf[..., :width] = spec[:, r:r + step]
                 if r + step >= n_rows:
                     del spec  # spent: it need not outlive the last block's values
-                V = self._row_values(li, buf, values[:len(buf), :buf.shape[1]])
-                V = V.reshape(len(buf), -1)
+                V = np.fft.irfft(buf, n=row_len, axis=-1,
+                                 out=values[:len(buf), :buf.shape[1]]).reshape(len(buf), -1)
                 cols = np.arange(len(V))
                 for i, (arg, beats) in enumerate(((V.argmax, np.greater),
                                                   (V.argmin, np.less))):

@@ -188,13 +188,16 @@ def test_torus_rows_do_not_depend_on_the_batch(sides, lam):
 
 def _full_half_lattice_values(model, modes, A, counts):
     """torus_grid_values with the complex inverse FFTs over every column of
-    the Hermitian half lattice, not only the band's."""
+    the Hermitian half lattice, not only the band's, the amplitude folded
+    into the lattice's coefficients."""
     size = math.prod(counts)
     half = (*counts[:-1], counts[-1] // 2 + 1)
     labels = [mode.label for mode in modes]
     K = np.array([k for k, _ in labels], dtype=np.intp).reshape(-1, len(counts))
     sites = np.concatenate([K, -K]) % np.array(counts)
-    C = A.T * np.array([0.5 if flavor == "cos" else -0.5j for _, flavor in labels])
+    amplitude = size * math.sqrt(2.0 / model.volume)
+    C = A.T * (np.array([0.5 if flavor == "cos" else -0.5j for _, flavor in labels])
+               * amplitude)
     keep = sites[:, -1] < half[-1]
     lattice = np.zeros((A.shape[1], *half), dtype=complex)
     np.add.at(lattice.reshape(len(lattice), -1),
@@ -202,8 +205,7 @@ def _full_half_lattice_values(model, modes, A, counts):
               np.concatenate([C, C.conj()], axis=1)[:, keep])
     for axis in range(1, len(counts)):
         np.fft.ifft(lattice, axis=axis, out=lattice)
-    V = np.fft.irfft(lattice, n=counts[-1], axis=-1).reshape(-1, size)
-    return np.multiply(V, size * math.sqrt(2.0 / model.volume), out=V)
+    return np.fft.irfft(lattice, n=counts[-1], axis=-1).reshape(-1, size)
 
 
 @pytest.mark.parametrize("sides,lam,counts", [

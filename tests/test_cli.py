@@ -112,12 +112,30 @@ def test_one_lambda_study_rejects_lambda_list(tmp_path, capsys, subcommand):
 
 def test_config_values_take_their_field_types(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"lam": 5, "samples": 4.0, "lams": [3, 4]}))
-    assert _run(["band", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-    config = json.loads(_newest(tmp_path, ".json", "band-").read_text())["config"]
+    # lam and lams in turn: a config may not set both
+    cfg.write_text(json.dumps({"lam": 5, "samples": 4.0}))
+    assert _run(["band", "--config", str(cfg), "--out", str(tmp_path / "one")]) == 0
+    config = json.loads(_newest(tmp_path / "one", ".json", "band-").read_text())["config"]
     assert config["lam"] == 5.0 and isinstance(config["lam"], float)
     assert config["samples"] == 4 and isinstance(config["samples"], int)
+    cfg.write_text(json.dumps({"lams": [3, 4]}))
+    assert _run(["band", "--config", str(cfg), "--out", str(tmp_path / "list")]) == 0
+    config = json.loads(_newest(tmp_path / "list", ".json", "band-").read_text())["config"]
     assert config["lams"] == [3.0, 4.0]
+
+
+@pytest.mark.parametrize("values,flags", [
+    ({}, ["--lambda", "20", "--lambdas", "1,9"]),
+    ({"lam": 20, "lams": [1, 9]}, []),
+    ({"lam": 20}, ["--lambdas", "1,9"]),
+])
+def test_lambda_with_lambda_list_exits_config(tmp_path, capsys, values, flags):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    assert _run(["band", "--config", str(cfg), *flags, "--out", str(tmp_path)]) \
+        == cli.EXIT_CONFIG
+    assert "not both" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_exit_code_io_error():
@@ -329,6 +347,18 @@ def test_bad_sup_setting_exits_before_dudley_curve(tmp_path, capsys, monkeypatch
     assert _run(argv) == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error:")
     assert calls == []
+
+
+@pytest.mark.parametrize("bad", [["--eps-min", "-0.1"], ["--eps-max", "-1"],
+                                 ["--eps-max", "0.2", "--eps-min", "0.5"],
+                                 ["--eps-max", "0.5", "--eps-min", "0.5"]])
+def test_bad_epsilon_exits_before_any_sup(tmp_path, capsys, monkeypatch, bad):
+    calls = _forbid(monkeypatch, wv, "expected_sup")
+    assert _run(["dudley", "--lambda", "80", "--samples", "400", *bad,
+                 "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert "eps_m" in capsys.readouterr().err
+    assert calls == []
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_empty_band_exits_before_geodesic_nets(tmp_path, capsys, monkeypatch):

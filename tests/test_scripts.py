@@ -86,6 +86,26 @@ def test_bench_summary_on_canned_runs():
     assert bench.summarize(runs, higher)["w"]["verdicts"]["peak_rss_mb"]["verdict"] == "better"
 
 
+def test_bench_summary_fits_peak_rss_against_rounds():
+    bench = _load("bench")
+    # parent: 48.5 MiB plus 0.6 MiB a round; change: one run failed, one has no round count
+    canned = [("parent", 1, 20, 60.5), ("parent", 2, 30, 66.5), ("parent", 3, 25, 63.5),
+              ("change", 1, 20, 50.0), ("change", 2, 40, 52.0), ("change", 3, None, 99.0)]
+    runs = [{"workload": "w", "seed": seed, "side": side, "rounds": rounds,
+             **bench.parse_run(_canned_stdout(0.2, rss))}
+            for side, seed, rounds, rss in canned]
+    runs.append({"workload": "w", "seed": 4, "side": "change", "correct": False,
+                 "attempted": 0, "failed": 1, "metrics": {}})
+    fits = bench.summarize(runs, END_TO_END)["w"]["rss_per_round"]
+    assert fits["parent"] == {"mib_per_round": pytest.approx(0.6),
+                              "intercept_mib": pytest.approx(48.5), "runs": 3}
+    assert fits["change"] == {"mib_per_round": pytest.approx(0.1),
+                              "intercept_mib": pytest.approx(48.0), "runs": 2}
+    # one round count cannot give a slope
+    one = [r for r in runs if r["side"] == "parent"][:1] * 2
+    assert bench.summarize(one, END_TO_END)["w"]["rss_per_round"] == {"parent": None}
+
+
 def test_bench_timed_out_run_is_a_failed_operation(monkeypatch):
     bench = _load("bench")
 
@@ -190,7 +210,12 @@ def test_bench_outputs_digest_each_jobs_csv(monkeypatch):
     bench = _load("bench")
     files = {"weyl-20260101-000000.csv": "a,b\n1,2\n",
              "weyl-20260101-000000.json": "{}\n",
-             "band-20260101-000001.csv": "x\n"}
+             "band-20260101-000001.csv": "x\n",
+             # two jobs of one subcommand, in one second: the second takes -1
+             "supnorm-20260101-000009.csv": "sphere\n",
+             "supnorm-20260101-000009-1.csv": "torus\n",
+             "diameter-20260101-000010.csv": "sphere\n",
+             "diameter-20260101-000011.csv": "torus\n"}
     calls = []
 
     def fake_run_all(cmd, **kwargs):
@@ -202,17 +227,22 @@ def test_bench_outputs_digest_each_jobs_csv(monkeypatch):
 
     monkeypatch.setattr(bench.subprocess, "run", fake_run_all)
     got = bench._outputs(SCRIPTS.parent)
+    sha = {text: bench.hashlib.sha256(text.encode()).hexdigest()
+           for text in ("a,b\n1,2\n", "x\n", "sphere\n", "torus\n")}
     assert got == {"exit": 0, "csv_sha256": {
-        "weyl": bench.hashlib.sha256(b"a,b\n1,2\n").hexdigest(),
-        "band": bench.hashlib.sha256(b"x\n").hexdigest()}}
+        "weyl": sha["a,b\n1,2\n"], "band": sha["x\n"],
+        "supnorm": sha["sphere\n"], "supnorm.2": sha["torus\n"],
+        "diameter": sha["sphere\n"], "diameter.2": sha["torus\n"]}}
     (cmd, kwargs), = calls
     assert cmd[1] == "scripts/run_all.py" and cmd[cmd.index("--seed") + 1] == "0"
     assert kwargs["cwd"] == SCRIPTS.parent
     assert kwargs["env"]["PYTHONPATH"] == str(SCRIPTS.parent / "src")
     assert kwargs["env"]["OPENBLAS_NUM_THREADS"] == "1"
-    changed = {"exit": 0, "csv_sha256": {"weyl": got["csv_sha256"]["weyl"], "claim": "0f"}}
+    changed = {"exit": 0, "csv_sha256": {**got["csv_sha256"], "claim": "0f",
+                                         "supnorm.2": "0e"}}
+    del changed["csv_sha256"]["band"]
     assert bench.differing_outputs(got, got) == []
-    assert bench.differing_outputs(got, changed) == ["band", "claim"]
+    assert bench.differing_outputs(got, changed) == ["band", "claim", "supnorm.2"]
 
 
 def _write_tree(root, files):
