@@ -296,14 +296,15 @@ def _run_supnorm(cfg: ExperimentConfig):
     return header, rows, summary, flags
 
 
-def _band_curve(cfg: ExperimentConfig, model, substrate, eps_ratio: float):
-    """d_lambda covering curve of substrate at cfg.lam, at eps_count radii from
-    eps_max (default: half the diameter) to eps_min (default: eps_max / eps_ratio)."""
+def _band_radii(cfg: ExperimentConfig, model, eps_ratio: float):
+    """The band embedding at cfg.lam and eps_count radii from eps_max (default: half
+    its diameter) to eps_min (default: eps_max / eps_ratio), which must be below it."""
     emb = em.make_embedding(model, cfg.lam)
     eps_max = cfg.eps_max or em.diameter_estimate(emb, 4000) / 2.0
     eps_min = cfg.eps_min or eps_max / eps_ratio
-    eps = list(np.geomspace(eps_max, eps_min, cfg.eps_count))
-    return en.covering_curve(substrate, em.CanonicalDistance(emb), eps)
+    if eps_min >= eps_max:
+        raise ConfigError(f"eps_min {eps_min:g} must be below eps_max {eps_max:g}")
+    return emb, list(np.geomspace(eps_max, eps_min, cfg.eps_count))
 
 
 def _traversal_counts(curve) -> dict:
@@ -315,11 +316,13 @@ def _traversal_counts(curve) -> dict:
 def _run_dudley(cfg: ExperimentConfig):
     model = _model(cfg)
     lam = cfg.lam
-    # the sup-norm half first: its settings are checked before the curve is built
+    # the bound and the radii first: a bad lambda or epsilon ends the run before any sup
     bound = wv.sup_norm_bound(model, lam)
+    emb, eps = _band_radii(cfg, model, 24.0)
     signed, absolute = (wv.expected_sup(model, lam, cfg.samples, cfg.grid_density, cfg.seed,
                                         statistic=statistic) for statistic in ("max", "abs"))
-    curve = _band_curve(cfg, model, mf.quasi_uniform_grid(model, cfg.substrate), 24.0)
+    curve = en.covering_curve(mf.quasi_uniform_grid(model, cfg.substrate),
+                              em.CanonicalDistance(emb), eps)
     report = en.dudley_report(curve)
     rows = [(e, n) for e, n in curve.entries]
     header = ("epsilon", "net_size")
@@ -365,7 +368,8 @@ def _run_covering(cfg: ExperimentConfig):
     model = _model(cfg)
     substrate = mf.quasi_uniform_grid(model, cfg.substrate)
     # the band curve first, so that an empty band exits before any net
-    curve = _band_curve(cfg, model, substrate, 10.0)
+    emb, eps = _band_radii(cfg, model, 10.0)
+    curve = en.covering_curve(substrate, em.CanonicalDistance(emb), eps)
     # the geodesic nets are prefixes of one traversal; rows list the smallest radius first
     geodesic = en.covering_curve(substrate, mf.GeodesicDistance(model), (1.0, 0.5, 0.2))
     rows = []
@@ -514,7 +518,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config, overrides)
         report, header, rows = run(args.subcommand, cfg)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:  # MemoryError: a band too large to enumerate
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:

@@ -22,9 +22,6 @@ a center at row k can bring nearer than r. An insertion at radius r can
 only lower the distances below r, so it computes rows just for those
 points, unless they are over half of the live set. The geometry behind
 rows and near, such as the sphere's caps, is embed's.
-
-scipy is imported inside the two functions that need it, so importing the
-package does not load it.
 """
 
 from __future__ import annotations
@@ -54,6 +51,8 @@ _DIAM_PROBE = 64
 _BLOCK = 512
 # smallest curve entries used for the tail power-law fit
 _TAIL_FIT_POINTS = 4
+# fewest centers of a curve entry in fit_exponent's scaling window
+_FIT_MIN_CENTERS = 16
 
 DUDLEY_CONSTANT = 8.0 * math.sqrt(2.0)
 
@@ -76,20 +75,11 @@ class CoveringCurve:
 
 @dataclass(frozen=True)
 class DudleyReport:
-    """Entropy integral value plus the internals of its tail extrapolation.
-
-    tail_scale is the distance at which the fitted power law drops to one
-    ball; scale_ratio = tail_scale / half_diameter and inverse_log_scale =
-    1/ln(scale_ratio) are the dimensionless quantities the sup-norm chain
-    is phrased in (nan when degenerate).
-    """
+    """Entropy integral value and its tail's fitted exponent (nan without a fit)."""
 
     bound: float
     half_diameter: float
-    tail_scale: float
     tail_exponent: float
-    scale_ratio: float
-    inverse_log_scale: float
 
 
 def _walk(distance, C: np.ndarray):
@@ -223,16 +213,16 @@ def covering_curve(substrate, distance, epsilon_list) -> CoveringCurve:
                          diameter=diam, row_entries=row_entries)
 
 
-def fit_exponent(curve: CoveringCurve, n_min: int = 16, n_max: int | None = None) -> float:
+def fit_exponent(curve: CoveringCurve, n_max: int | None = None) -> float:
     """Log-log slope of net size against 1/epsilon over the scaling window.
 
-    Entries with fewer than n_min centers sit in the few-ball regime and
-    entries above n_max are resolution-limited by the substrate (pass
-    substrate_size // 4 or so); both are excluded from the fit. nan when
-    fewer than two entries survive.
+    Entries with fewer than _FIT_MIN_CENTERS centers sit in the few-ball
+    regime and entries above n_max are resolution-limited by the substrate
+    (pass substrate_size // 4 or so); both are excluded from the fit. nan
+    when fewer than two entries survive.
     """
     pts = [(e, n) for e, n in curve.entries
-           if n >= n_min and (n_max is None or n <= n_max)]
+           if n >= _FIT_MIN_CENTERS and (n_max is None or n <= n_max)]
     if len(pts) < 2 or len({n for _, n in pts}) < 2:
         return math.nan
     le = np.log([1.0 / e for e, _ in pts])
@@ -240,20 +230,20 @@ def fit_exponent(curve: CoveringCurve, n_min: int = 16, n_max: int | None = None
     return float(np.polyfit(le, ln, 1)[0])
 
 
-def _tail_fit(eps: np.ndarray, counts: np.ndarray):
-    """Power-law c * eps^-exponent through the smallest useful entries."""
+def _tail_fit(eps: np.ndarray, counts: np.ndarray, eps0: float):
+    """(scale, exponent) of the power law (scale / eps)^exponent through the
+    smallest useful entries, or None unless it gives over one ball at eps0."""
     mask = counts > 1
-    if mask.sum() < 2:
-        return None
     e = eps[mask][:_TAIL_FIT_POINTS]
     n = counts[mask][:_TAIL_FIT_POINTS]
-    if len(set(n.tolist())) < 2:
+    if len(set(n.tolist())) < 2:  # also when fewer than two entries pass the mask
         return None
     slope, intercept = np.polyfit(np.log(e), np.log(n), 1)
     exponent = -float(slope)
     if exponent < 0.1:
         return None
-    return math.exp(float(intercept)), exponent
+    scale = math.exp(float(intercept)) ** (1.0 / exponent)
+    return (scale, exponent) if scale / eps0 > 1.0 else None
 
 
 def dudley_report(curve: CoveringCurve) -> DudleyReport:
@@ -261,10 +251,9 @@ def dudley_report(curve: CoveringCurve) -> DudleyReport:
 
     Trapezoid over the tabulated entries; below the finest epsilon the
     fitted power law closes the integrable sqrt-log singularity in closed
-    form via the upper incomplete gamma function.
+    form via the regularized upper incomplete gamma function
+    Q(3/2, u) = erfc(sqrt u) + 2 sqrt(u/pi) e^-u.
     """
-    from scipy.special import gammaincc
-
     if not curve.entries:
         raise ValueError("covering curve is empty")
     half_d = curve.diameter / 2.0
@@ -273,9 +262,7 @@ def dudley_report(curve: CoveringCurve) -> DudleyReport:
     idx = np.argsort(eps)
     eps, counts = eps[idx], counts[idx]
     if counts.max() <= 1 or half_d <= 0:
-        return DudleyReport(bound=0.0, half_diameter=half_d, tail_scale=math.nan,
-                            tail_exponent=math.nan, scale_ratio=math.nan,
-                            inverse_log_scale=math.nan)
+        return DudleyReport(bound=0.0, half_diameter=half_d, tail_exponent=math.nan)
     inside = eps <= half_d
     xs = eps[inside]
     fs = np.sqrt(np.log(counts[inside]))
@@ -287,26 +274,17 @@ def dudley_report(curve: CoveringCurve) -> DudleyReport:
     trap = float(np.trapezoid(fs, xs)) if xs.size > 1 else 0.0
 
     eps0 = float(xs[0])
-    fit = _tail_fit(eps, counts)
-    tail_scale = tail_exp = math.nan
-    if fit is not None:
-        c, exponent = fit
-        scale = c ** (1.0 / exponent)
-        u0 = math.log(scale / eps0)
-        if u0 > 0:
-            tail = math.sqrt(exponent) * scale * (math.sqrt(math.pi) / 2.0) \
-                * float(gammaincc(1.5, u0))
-            tail_scale, tail_exp = scale, exponent
-        else:
-            fit = None
+    fit = _tail_fit(eps, counts, eps0)
     if fit is None:
         # no usable fit: freeze the count at the finest epsilon
-        tail = eps0 * float(fs[0])
-    ratio = tail_scale / half_d if math.isfinite(tail_scale) else math.nan
-    inv_log = 1.0 / math.log(ratio) if math.isfinite(ratio) and ratio > 1.0 else math.nan
+        tail, tail_exp = eps0 * float(fs[0]), math.nan
+    else:
+        scale, tail_exp = fit
+        u0 = math.log(scale / eps0)
+        q = math.erfc(math.sqrt(u0)) + 2.0 * math.sqrt(u0 / math.pi) * math.exp(-u0)
+        tail = math.sqrt(tail_exp) * scale * (math.sqrt(math.pi) / 2.0) * q
     return DudleyReport(bound=DUDLEY_CONSTANT * (trap + tail), half_diameter=half_d,
-                        tail_scale=tail_scale, tail_exponent=tail_exp,
-                        scale_ratio=ratio, inverse_log_scale=inv_log)
+                        tail_exponent=tail_exp)
 
 
 def lp_covering_bound(model, r: float) -> float:
@@ -323,21 +301,39 @@ def lp_covering_bound(model, r: float) -> float:
     return model.volume * (2.0 * n / s) * math.pi ** (n - 1) * r ** (-n)
 
 
+def _erfcx(x: float) -> float:
+    """exp(x^2) erfc(x) for x > 0, from 8 on by 20 terms of its asymptotic series."""
+    if x < 8.0:
+        # exp(x^2) takes back the rounding of x*x, found exactly from halves of x (Dekker)
+        xx = x * x
+        head = x * 134217729.0 - (x * 134217729.0 - x)
+        tail = x - head
+        low = ((head * head - xx) + 2.0 * head * tail) + tail * tail
+        return math.exp(xx) * (1.0 + low) * math.erfc(x)
+    q = 0.5 / (x * x)
+    term = total = 1.0
+    for n in range(1, 20):
+        term *= -(2 * n - 1) * q
+        total += term
+    return total / (x * math.sqrt(math.pi))
+
+
 def claim_integral(a: float) -> float:
     """I(a) = integral over (0,1] of sqrt(1 - a ln x) dx, two ways.
 
-    Adaptive quadrature after u = -ln x against the closed form
-    1 + sqrt(a pi)/2 * erfcx(1/sqrt(a)); asserts they agree to 1e-8.
+    The exp-sinh rule of Takahasi & Mori (1974), u = -ln x = exp(pi/2 sinh t)
+    with step 1/16 over t in [-4, 4], is checked against the closed form
+    1 + sqrt(a pi)/2 * erfcx(1/sqrt(a)) to 1e-8 of max(1, sqrt(a)), which
+    is returned. hypot(1, sqrt(a) sqrt(u)) = sqrt(1 + a u) never overflows.
     """
-    if a <= 0:
-        raise ValueError(f"a must be positive, got {a}")
-    from scipy.integrate import quad
-    from scipy.special import erfcx
-
-    by_quad, err = quad(lambda u: math.sqrt(1.0 + a * u) * math.exp(-u),
-                        0.0, math.inf, epsabs=1e-12, epsrel=1e-12)
-    closed = 1.0 + 0.5 * math.sqrt(a * math.pi) * float(erfcx(1.0 / math.sqrt(a)))
-    if abs(by_quad - closed) > 1e-8:
+    if not 0 < a * math.pi < math.inf:
+        raise ValueError(f"a must be positive with a*pi finite, got {a}")
+    t = np.arange(-64, 65) / 16.0
+    u = np.exp(0.5 * math.pi * np.sinh(t))
+    weights = u * np.exp(-u) * (0.5 * math.pi / 16.0) * np.cosh(t)
+    by_rule = float(weights @ np.hypot(1.0, math.sqrt(a) * np.sqrt(u)))
+    closed = 1.0 + 0.5 * math.sqrt(a * math.pi) * _erfcx(1.0 / math.sqrt(a))
+    if abs(by_rule - closed) > 1e-8 * max(1.0, math.sqrt(a)):
         raise AssertionError(
-            f"integral routes disagree at a={a}: {by_quad} vs {closed}")
+            f"integral routes disagree at a={a}: {by_rule} vs {closed}")
     return closed

@@ -361,6 +361,25 @@ def test_bad_epsilon_exits_before_any_sup(tmp_path, capsys, monkeypatch, bad):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_default_eps_max_below_eps_min_exits_before_any_sup(tmp_path, capsys, monkeypatch):
+    # eps_max defaults to half the band diameter (about 0.24 at lambda 40)
+    calls = _forbid(monkeypatch, wv, "expected_sup")
+    assert _run(["dudley", "--lambda", "40", "--samples", "20", "--eps-min", "5",
+                 "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "eps_min 5" in err and "eps_max" in err
+    assert calls == []
+
+
+def test_band_too_large_to_enumerate_exits_config(tmp_path, capsys):
+    # the torus lattice's first array would be 2e15 integers, more than any
+    # address space holds, so numpy refuses it without allocating
+    assert _run(["band", "--kind", "torus", "--lambda", "1e15",
+                 "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error:")
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_empty_band_exits_before_geodesic_nets(tmp_path, capsys, monkeypatch):
     calls = _forbid(monkeypatch, mf.GeodesicDistance, "rows")
     assert _run(["covering", "--lambda", "0.1", "--substrate", "2000",

@@ -560,10 +560,28 @@ def test_dudley_bound_synthetic_oracle():
     assert got == pytest.approx(oracle, rel=0.01)
     rep = en.dudley_report(curve)
     assert rep.tail_exponent == pytest.approx(2.0, abs=1e-9)
-    assert rep.tail_scale == pytest.approx(1.0, abs=1e-9)
     assert rep.half_diameter == 0.5
-    assert rep.scale_ratio == pytest.approx(2.0, abs=1e-9)
-    assert rep.inverse_log_scale == pytest.approx(1 / math.log(2), abs=1e-9)
+
+
+@pytest.mark.parametrize("c,p,eps_max,eps_min", [
+    (1.0, 2.0, 0.5, 1e-4),    # tail from u0 = ln(1e4)
+    (3.0, 2.0, 0.4, 0.05),    # u0 = ln(sqrt(3) / 0.05)
+    (2.0, 1.0, 1.9, 1.8),     # u0 = ln(2 / 1.8), near 0.1
+    (5.0, 3.0, 0.3, 1e-12),   # u0 near 28
+])
+def test_dudley_bound_matches_gammaincc_reference(c, p, eps_max, eps_min):
+    # power-law curves N(eps) = c eps^-p with half diameter eps_max: the bound
+    # is the trapezoid plus the tail through scipy's regularized gammaincc
+    from scipy.special import gammaincc
+    eps = np.geomspace(eps_max, eps_min, 40)
+    curve = en.CoveringCurve(entries=tuple((float(e), c * e ** -p) for e in eps),
+                             distance_id="synthetic", diameter=2.0 * eps_max)
+    x = eps[::-1]
+    scale = c ** (1.0 / p)
+    tail = math.sqrt(p) * scale * (math.sqrt(math.pi) / 2.0) \
+        * float(gammaincc(1.5, math.log(scale / x[0])))
+    ref = en.DUDLEY_CONSTANT * (np.trapezoid(np.sqrt(np.log(c * x ** -p)), x) + tail)
+    assert en.dudley_report(curve).bound == pytest.approx(ref, rel=1e-13)
 
 
 def test_dudley_degenerate_and_fallback():
@@ -608,6 +626,33 @@ def test_geodesic_net_below_lp_bound():
         assert n <= en.lp_covering_bound(SPHERE, r)
 
 
+def test_erfcx_matches_scipy():
+    from scipy.special import erfcx
+    # both sides of the switch to the asymptotic series at 8
+    xs = np.concatenate([np.geomspace(1e-8, 1e4, 4000), np.geomspace(1e4, 1e160, 200),
+                         [8.0 * (1 - 1e-15), 8.0]])
+    got = np.array([en._erfcx(float(x)) for x in xs])
+    assert np.max(np.abs(got / erfcx(xs) - 1.0)) < 1e-14
+
+
+CLAIM_A = (5e-324, 1e-300, 1e-8, 1e-6, 1e-3, 0.01, 0.05, 0.1, 0.2, 0.5, 1.0, 10.0,
+           1e6, 1e300)
+
+
+@pytest.mark.parametrize("a", CLAIM_A)
+def test_claim_integral_matches_scipy_closed_form(a):
+    from scipy.special import erfcx
+    ref = 1.0 + 0.5 * math.sqrt(a * math.pi) * float(erfcx(1.0 / math.sqrt(a)))
+    assert en.claim_integral(a) == pytest.approx(ref, rel=1e-15)
+
+
+def test_claim_integral_rejects_overflowing_a():
+    # a * pi overflows from about 5.7e307 on
+    assert math.isfinite(en.claim_integral(1e307))
+    with pytest.raises(ValueError, match="a\\*pi finite"):
+        en.claim_integral(1e308)
+
+
 def test_claim_integral_bounds():
     for a in (0.01, 0.05, 0.1, 0.2, 0.5):
         val = en.claim_integral(a)
@@ -627,17 +672,35 @@ def test_gaussian_tail_estimate():
         assert tail <= math.exp(-x * x / 2.0) / x
 
 
-def test_import_does_not_load_scipy():
-    # scipy is imported only by the functions that need it
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
     src = str(Path(eigenband.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_import_does_not_load_scipy():
+    # numpy is the package's only runtime dependency
     report = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     # the sphere lambda 200 distance profile reaches J_0 arguments up to ~630
     profile = ("from eigenband import embed, manifold; "
                "e = embed.make_embedding(manifold.sphere2(), 200.0); "
                "embed.distance_profile(e, [0.0, 0.5, 3.14159]); ")
-    for body in ("", profile):
-        code = "import sys, eigenband; " + body + report
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True, timeout=60)
+    entropy = ("from eigenband import entropy as en; "
+               "en.claim_integral(0.1); "
+               "en.dudley_report(en.CoveringCurve(entries=((0.5, 4), (0.1, 60), (0.05, 250)), "
+               "distance_id='x', diameter=1.0)); ")
+    for body in ("", profile, entropy):
+        out = _fresh_python("import sys, eigenband; " + body + report)
+        assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "[]"
+
+
+def test_cli_runs_with_scipy_blocked(tmp_path):
+    # a None entry in sys.modules makes every scipy import raise ImportError
+    for argv in (["claim"],
+                 ["dudley", "--lambda", "9", "--samples", "4", "--substrate", "2000"]):
+        out = _fresh_python("import sys; sys.modules['scipy'] = None; "
+                            "from eigenband import cli; "
+                            f"sys.exit(cli.main({argv + ['--out', str(tmp_path)]!r}))")
+        assert out.returncode == 0, out.stderr
