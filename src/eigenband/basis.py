@@ -27,6 +27,7 @@ from .spectrum import Band, torus_frequencies
 __all__ = [
     "mode_matrix",
     "torus_grid_values",
+    "torus_labels",
     "torus_half_spectrum",
     "gradient_matrix",
     "orthonormality_check",
@@ -66,11 +67,25 @@ def _climb_coefficients(l: int):
     m = np.arange(1, l + 1)
     diagonal = np.sqrt((2 * m + 1) / (2.0 * m))[:, None]
     first = np.sqrt(2 * m + 1.0)[:, None]
-    k, m = np.tril_indices(max(l - 1, 0))
-    k = k + 2
-    a = np.sqrt((4.0 * k * k - 1.0) / (k * k - m * m))[:, None]
-    b = np.sqrt(((k - 1.0) ** 2 - m * m) / (4.0 * (k - 1.0) ** 2 - 1.0))[:, None]
+    # the steps' columns lie end to end, step k's k - 1 orders from lo[k - 2];
+    # k, m and every sum and product of them are exact integers as floats, so
+    # the one-order expressions keep their bits, and the build takes at most
+    # one array of that length beyond the two it keeps
+    k = np.arange(2.0, l + 1)
+    sizes = np.arange(1, l)
     lo = [(k - 2) * (k - 1) // 2 for k in range(2, l + 2)]
+    # m: a ramp that restarts at 0 on every step, then m * m in place
+    m2 = np.ones(l * (l - 1) // 2)
+    m2[lo[1:-1]] = 1.0 - sizes[:-1]
+    m2[:1] = 0.0
+    np.cumsum(m2, out=m2)
+    m2 *= m2
+    b = np.repeat((k - 1.0) ** 2, sizes)
+    b -= m2
+    np.divide(b, np.repeat(4.0 * (k - 1.0) ** 2 - 1.0, sizes), out=b)
+    a = np.subtract(np.repeat(k * k, sizes), m2, out=m2)
+    np.divide(np.repeat(4.0 * k * k - 1.0, sizes), a, out=a)
+    a, b = np.sqrt(a, out=a)[:, None], np.sqrt(b, out=b)[:, None]
     steps = [(a[i:j], b[i:j]) for i, j in zip(lo, lo[1:])]
     return diagonal, first, steps
 
@@ -174,7 +189,7 @@ def _sphere_value_matrix(modes, coords: np.ndarray) -> np.ndarray:
     return out
 
 
-def _torus_labels(model: ManifoldModel, modes) -> tuple[np.ndarray, np.ndarray]:
+def torus_labels(model: ManifoldModel, modes) -> tuple[np.ndarray, np.ndarray]:
     """Lattice vectors (modes x dim) and a cos mask of the torus modes."""
     K = np.array([mode.label[0] for mode in modes], dtype=np.intp).reshape(-1, model.dim)
     is_cos = np.array([mode.label[1] == "cos" for mode in modes], dtype=bool)
@@ -185,7 +200,7 @@ def _torus_phases(model: ManifoldModel, modes, coords: np.ndarray):
     """W (modes x dim), cos mask and phases k.x (points x modes) of the torus
     modes at the coordinate rows, added one axis at a time: a BLAS product's
     rounding would depend on its row count."""
-    K, is_cos = _torus_labels(model, modes)
+    K, is_cos = torus_labels(model, modes)
     W = torus_frequencies(model, K)
     phase = coords[:, :1] * W[:, 0]
     for i in range(1, model.dim):
@@ -211,11 +226,14 @@ def mode_matrix(model: ManifoldModel, modes, coords: np.ndarray) -> np.ndarray:
     return _torus_value_matrix(model, modes, coords)
 
 
-def torus_half_spectrum(model: ManifoldModel, modes, A: np.ndarray, counts) -> np.ndarray:
+def torus_half_spectrum(model: ManifoldModel, K: np.ndarray, is_cos: np.ndarray,
+                        A: np.ndarray, counts) -> np.ndarray:
     """The used columns of the Hermitian half lattice of the coefficient
     columns of A (modes x columns) on the torus product grid with counts[i]
     nodes on axis i, after the complex inverse FFTs over every axis but the
-    last: (columns, prod(counts[:-1]), width), its rows in C order.
+    last: (columns, prod(counts[:-1]), width), its rows in C order. K and
+    is_cos are the modes' torus_labels, parsed once by a caller that builds
+    many spectra of the same modes.
 
     A mode of frequency 2 pi k / L has phase 2 pi k.j / c at node j, and
     a cos + b sin = (a - i b)/2 e^{i theta} + (a + i b)/2 e^{-i theta}, so the
@@ -229,7 +247,6 @@ def torus_half_spectrum(model: ManifoldModel, modes, A: np.ndarray, counts) -> n
     transformed: the rest are zeros, whose transform is zeros.
     """
     counts = tuple(counts)
-    K, is_cos = _torus_labels(model, modes)
     width = min(int(np.abs(K[:, -1]).max(initial=0)) + 1, counts[-1] // 2 + 1)
     used = (*counts[:-1], width)
     sites = np.concatenate([K, -K]) % np.array(counts)
@@ -251,7 +268,7 @@ def torus_grid_values(model: ManifoldModel, modes, A: np.ndarray, counts) -> np.
     product grid with counts[i] nodes on axis i: (columns, points), points
     in the C order of manifold.product_grid; one real inverse FFT of the rows
     of torus_half_spectrum, which irfft pads with zeros, exact for any counts."""
-    spectrum = torus_half_spectrum(model, modes, A, counts)
+    spectrum = torus_half_spectrum(model, *torus_labels(model, modes), A, counts)
     return np.fft.irfft(spectrum, n=counts[-1], axis=-1).reshape(len(spectrum), -1)
 
 

@@ -24,6 +24,11 @@ import sys
 import time
 from dataclasses import dataclass
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 import numpy as np
 
 from . import embed as em
@@ -268,6 +273,16 @@ def _loglog_fit(lams, means) -> dict:
     return fit
 
 
+def _peak_rss_mib() -> float | None:
+    """The process's resident high-water mark so far, in MiB; None where the
+    platform has no getrusage."""
+    if resource is None:
+        return None
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # KiB on Linux, bytes on macOS
+    return rss / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+
+
 def _run_supnorm(cfg: ExperimentConfig):
     model = _model(cfg)
     # every lambda's bound first: a bad lambda ends the run before any sup
@@ -288,7 +303,8 @@ def _run_supnorm(cfg: ExperimentConfig):
                                   "level_peaks": list(est.level_peaks),
                                   "level_sizes": list(est.level_sizes),
                                   "refine_gain": est.refine_gain,
-                                  "seconds": seconds}
+                                  "seconds": seconds,
+                                  "peak_rss_mib": _peak_rss_mib()}
         flags[f"below_sup_bound_lam{lam:g}"] = bool(est.mean <= bound.general)
     summary["loglog_fit"] = _loglog_fit([r[1] for r in rows], [r[2] for r in rows])
     header = ("model", "lam", "mean_sup", "std_error", "samples", "grid_points",

@@ -37,8 +37,14 @@ spectrum, the torus into the half lattice's coefficients and the sphere into
 its ring table, so a row of either is one plain irfft of its used columns
 padded with zeros. Both models keep only the spectrum's used columns (up to
 the band's largest order or last-axis |k|) and scan a level in blocks of
-rows, so a block's size is bounded whatever lambda is. No level keeps its
-grid: a wave's peak node is computed from its flat index.
+rows, each at most _CHUNK entries of the zero-padded half spectrum, so the
+padded block and its values block are bounded whatever lambda is. A sphere
+block's spectrum is written straight from its rows of the ring table, and
+no whole-level spectrum exists. The torus keeps one more array per block of
+waves, its half lattice after the inverse FFTs over every axis but the last:
+rows x used columns, about size / d entries on a level of d points per
+wavelength; bounding it would need another transform order. No level keeps
+its grid: a wave's peak node is computed from its flat index.
 
 The ring grid is closed under x -> -x (ring N - 1 - j is ring j reflected,
 azimuth k + N is azimuth k plus pi) and Y(-x) = (-1)^l Y(x), so a sphere
@@ -162,9 +168,13 @@ def _ring_nodes(rings: int, index) -> np.ndarray:
 
 
 # A level's inverse FFT runs in blocks: of waves, up to _CHUNK grid entries
-# per block, and within one wave of rows, up to _CHUNK spectrum entries
-# (rows x used columns) per block. The refinement takes its mode_matrix
-# values in blocks of stencil rows, up to _CHUNK entries (points x modes).
+# per block, and within one wave of rows, up to _CHUNK entries of the
+# zero-padded half spectrum (rows x (row length // 2 + 1)) per block, at
+# least one row. So the padded block holds at most about _CHUNK complex
+# entries and the values block about 2 _CHUNK reals at any lambda (the torus
+# half lattice beside them is the module docstring's exception). The
+# refinement takes its mode_matrix values in blocks of stencil rows, up to
+# _CHUNK entries (points x modes).
 _CHUNK = 1 << 16
 
 
@@ -175,7 +185,8 @@ class _SupLevels:
     northern sphere rings from one real (rings x (l + 1)) table of the band's
     single degree l, unfolded as the module docstring says (a tie keeps the
     northern node; sizes count the whole grid), and torus last-axis rows
-    from basis.torus_half_spectrum. A spectrum keeps only its used columns.
+    from basis.torus_half_spectrum, with the modes' labels parsed once here.
+    A spectrum keeps only its used columns.
     The object keeps each level's extrema (four numbers per wave, no level
     values) for the last matrix it scanned.
     """
@@ -196,14 +207,18 @@ class _SupLevels:
             # m > 0 bins and divides by 2 rings
             weight = np.where(np.arange(l + 1) == 0, 2.0, 1.0)
             # northern rings only; _level_extrema unfolds the south by parity
-            self._tables = [bs.mode_matrix(self.model, band.modes[l:],
-                                           _ring_nodes(n, 2 * n * np.arange((n + 1) // 2)))
-                            * (n * weight) for n, in self.shapes]
+            self._tables = []
+            for n, in self.shapes:
+                table = bs.mode_matrix(self.model, band.modes[l:],
+                                       _ring_nodes(n, 2 * n * np.arange((n + 1) // 2)))
+                table *= n * weight
+                self._tables.append(table)
         else:
             self.shapes = [tuple(_smooth(max(1, math.ceil(L / s)))
                                  for L in self.model.side_lengths)
                            for s in self.spacings]
             self.sizes = [math.prod(c) for c in self.shapes]
+            self._labels = bs.torus_labels(self.model, band.modes)
         self.grid_points = sum(self.sizes)
         self._scanned = (None, None)
 
@@ -214,18 +229,33 @@ class _SupLevels:
             return _ring_nodes(self.shapes[li][0], index)
         return mf.product_grid_nodes(self.model, self.shapes[li], index)
 
-    def _spectrum(self, li: int, Ab: np.ndarray) -> np.ndarray:
+    def _spectrum(self, li: int, Ab: np.ndarray):
         """Level li's spectrum of the coefficient columns Ab, its amplitude
-        folded in: (waves, rows, used columns), complex."""
+        folded in, as (rows, write): write(out, r) puts rows r, r + 1, ...
+        of each column's complex spectrum into out (columns x block rows x
+        padded row), its used columns only, and leaves the rest of out as
+        it is.
+
+        A sphere block is written straight from its rows of the ring table;
+        the torus writes from its half lattice, one per call.
+        """
         if self.model.kind == SPHERE2:
             l, table = self._degree, self._tables[li]
             # a_m cos + a_-m sin = Re((a_m - i a_-m) e^{i m phi})
-            spec = np.zeros((Ab.shape[1], *table.shape), dtype=complex)
-            np.multiply(table, Ab[l:].T[:, None, :], out=spec.real)
-            np.multiply(table[:, 1:], -Ab[l - 1::-1].T[:, None, :],
-                        out=spec.imag[..., 1:])
-            return spec
-        return bs.torus_half_spectrum(self.model, self.band.modes, Ab, self.shapes[li])
+            cos, sin = Ab[l:].T[:, None, :], -Ab[l - 1::-1].T[:, None, :]
+
+            def write(out, r):
+                rows = table[r:r + out.shape[1]]
+                np.multiply(rows, cos, out=out.real[..., :l + 1])
+                np.multiply(rows[:, 1:], sin, out=out.imag[..., 1:l + 1])
+
+            return len(table), write
+        spec = bs.torus_half_spectrum(self.model, *self._labels, Ab, self.shapes[li])
+
+        def write(out, r):
+            out[..., :spec.shape[2]] = spec[:, r:r + out.shape[1]]
+
+        return spec.shape[1], write
 
     def _level_extrema(self, li: int, A: np.ndarray):
         """Flat index (2 x waves) and value (2 x waves) of each wave's max
@@ -245,21 +275,21 @@ class _SupLevels:
         block = max(1, _CHUNK // self.sizes[li])
         sphere = self.model.kind == SPHERE2
         row_len = 2 * self.shapes[li][0] if sphere else self.shapes[li][-1]
+        step = max(1, _CHUNK // (row_len // 2 + 1))
         half = None
         for b in range(0, n_waves, block):
             waves = slice(b, b + block)
-            spec = self._spectrum(li, A[:, waves])
-            n_rows, width = spec.shape[1:]
-            step = max(1, _CHUNK // width)
+            n_rows, write = self._spectrum(li, A[:, waves])
+            n_block = min(block, n_waves - b)
             if half is None:
-                shape = (len(spec), min(step, n_rows))
+                shape = (n_block, min(step, n_rows))
                 half = np.zeros((*shape, row_len // 2 + 1), dtype=complex)
                 values = np.empty((*shape, row_len))
             for r in range(0, n_rows, step):
-                buf = half[:len(spec), :min(step, n_rows - r)]
-                buf[..., :width] = spec[:, r:r + step]
+                buf = half[:n_block, :min(step, n_rows - r)]
+                write(buf, r)
                 if r + step >= n_rows:
-                    del spec  # spent: it need not outlive the last block's values
+                    del write  # spent: its spectrum need not outlive the last block's values
                 V = np.fft.irfft(buf, n=row_len, axis=-1,
                                  out=values[:len(buf), :buf.shape[1]]).reshape(len(buf), -1)
                 cols = np.arange(len(V))

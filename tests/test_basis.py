@@ -156,6 +156,20 @@ def test_sphere_values_working_set():
     assert peak - V.nbytes < 2 * 2 ** 20
 
 
+def test_climb_coefficients_working_set():
+    # the step columns a and b are built in place: at degree 640 the build
+    # takes at most one array of their length beyond the two it keeps (the
+    # tril_indices route took three)
+    tracemalloc.start()
+    try:
+        coefficients = bs._climb_coefficients(640)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(coefficients[2]) == 639
+    assert peak - kept < 1.2 * (8 * 640 * 639 // 2)
+
+
 def test_torus_values_by_formula():
     band = sp.enumerate_band(TORUS, 5.0)
     rng = np.random.Generator(np.random.Philox(4))

@@ -298,6 +298,9 @@ def test_supnorm_summary_fits_the_loglog_slope(tmp_path):
     assert fit["std_error"] == pytest.approx(want.stderr, rel=1e-9)
     for lam in ("2", "6", "9", "12"):
         assert summary[f"lam{lam}"]["seconds"] >= 0.0
+    # the process's high-water mark after each lambda, so it never falls
+    rss = [summary[f"lam{lam}"]["peak_rss_mib"] for lam in ("2", "6", "9", "12")]
+    assert 0.0 < rss[0] and rss == sorted(rss)
     two = cli._loglog_fit([3.0, 9.0], [1.0, 1.2])
     rise = math.log(math.log(9.0) / math.log(3.0))
     assert two["slope"] == pytest.approx(math.log(1.2) / rise)

@@ -295,6 +295,26 @@ def test_torus_levels_keep_no_grids():
         assert at.shape == vals.shape == (2, 12)
 
 
+@pytest.mark.parametrize("model,lam", [(SPHERE, 160.0), (TORUS, 40.0)])
+def test_level_scan_transient_is_bounded_by_the_chunk(model, lam):
+    # a scan's padded block (_CHUNK complex entries) and values block
+    # (2 _CHUNK reals) are 32 _CHUNK bytes, whatever lambda or density is;
+    # the rest is irfft's own work and, on the torus, one half lattice of
+    # 648 x 42 entries. Whole-level spectra and row blocks sized by the used
+    # columns took 288 (sphere) and 110 (torus) _CHUNK bytes here.
+    band = sp.enumerate_band(model, lam)
+    A = np.stack([wv.sample_wave(band, 3, i).coefficients for i in range(2)], axis=1)
+    levels = wv._SupLevels(band, 10.0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        levels._scan(A)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * wv._CHUNK
+
+
 def test_sphere_levels_keep_real_tables():
     # one real (northern rings x (l + 1)) table per level; complex tables of
     # every mode on every ring would keep about eight times as much
@@ -332,7 +352,12 @@ def _complex_table_spectrum(levels):
         terms = tables[li][None, :, :] * Ab[order_sort].T[:, None, :]
         spec = np.zeros((Ab.shape[1], (rings + 1) // 2, rings + 1), dtype=complex)
         spec[:, :, present] = np.add.reduceat(terms, starts, axis=2)
-        return spec
+
+        def write(out, r):
+            # the full spectrum is the padded row of 2 rings azimuths
+            out[...] = spec[:, r:r + out.shape[1]]
+
+        return spec.shape[1], write
 
     return spectrum
 
@@ -348,8 +373,12 @@ def test_sphere_ring_scan_equals_complex_table_route(lam, use_abs, monkeypatch):
     sups, peaks = levels.batch_sups(A, use_abs)
     # a fresh level object, so that the scan of A is not reused
     levels = wv._SupLevels(band, 10.0)
-    monkeypatch.setattr(levels, "_spectrum", _complex_table_spectrum(levels))
+    oracle, called = _complex_table_spectrum(levels), []
+    monkeypatch.setattr(levels, "_spectrum",
+                        lambda li, Ab: called.append(li) or oracle(li, Ab))
     want_sups, want_peaks = levels.batch_sups(A, use_abs)
+    # every level's spectra came from the oracle
+    assert sorted(set(called)) == list(range(len(levels.sizes)))
     assert np.array_equal(sups, want_sups)
     assert np.array_equal(peaks, want_peaks)
 
@@ -400,13 +429,21 @@ def _cold_sup(model, lam, n_samples, seed, statistic):
 
 
 def _counting_level_scans(monkeypatch):
-    # counts the level scans of every later call: one spectrum per block of waves
+    # counts the level scans of every later call: one spectrum per block of
+    # waves, each recorded as [its rows that the scan has not yet written]
     calls = []
     spectrum = wv._SupLevels._spectrum
 
     def counted(self, li, Ab):
-        calls.append(li)
-        return spectrum(self, li, Ab)
+        n_rows, write = spectrum(self, li, Ab)
+        unwritten = [n_rows]
+        calls.append(unwritten)
+
+        def counted_write(out, r):
+            unwritten[0] -= out.shape[1]
+            write(out, r)
+
+        return n_rows, counted_write
 
     monkeypatch.setattr(wv._SupLevels, "_spectrum", counted)
     return calls
@@ -423,6 +460,8 @@ def test_second_statistic_reuses_the_level_scan(model, lam, first, second, monke
         del scans[:]
         warm.append(wv.expected_sup(model, lam, 8, 6.0, seed=5, statistic=stat))
         scanned.append(len(scans))
+        # the scan wrote every row through the counted spectra
+        assert all(unwritten == [0] for unwritten in scans)
     assert scanned == [2, 0]
     for got, want in zip(warm, cold):
         assert dataclasses.asdict(got) == dataclasses.asdict(want)
@@ -445,11 +484,13 @@ def test_other_waves_are_scanned_again(model, lam, monkeypatch):
         del scans[:]
         got[key] = wv.expected_sup(model, lam, n_samples, 6.0, seed=seed, statistic="abs")
         assert len(scans) > 0
+        assert all(unwritten == [0] for unwritten in scans)
     wv.expected_sup(model, lam, 8, 6.0, seed=5, statistic="max")
     assert wv.sup_norm(wave, 6.0) == want_single
     del scans[:]
     got["between"] = wv.expected_sup(model, lam, 8, 6.0, seed=5, statistic="abs")
     assert len(scans) > 0
+    assert all(unwritten == [0] for unwritten in scans)
     for key, est in got.items():
         assert dataclasses.asdict(est) == dataclasses.asdict(want[key])
 
@@ -541,13 +582,28 @@ def test_row_blocks_equal_the_whole_level_scan(model, lam, A, use_abs, monkeypat
     monkeypatch.setattr(wv, "_CHUNK", 1 << 40)
     whole = levels.batch_sups(A, use_abs)
     whole_scan = levels._scan(A)
-    widths = [levels._spectrum(li, A[:, :1]).shape[2] for li in range(len(levels.sizes))]
+    # a level's padded half row: of 2 N azimuths on a sphere of N rings, of
+    # the last axis on a torus; the finest level's is the longest
+    row_lens = [2 * shape[0] if model.kind == mf.SPHERE2 else shape[-1]
+                for shape in levels.shapes]
+    padded = row_lens[-1] // 2 + 1
+    assert padded == max(n // 2 + 1 for n in row_lens)
     for rows_per_block in (1, 3, 7):
-        # one wave per block, and rows_per_block rows of every level per block
-        monkeypatch.setattr(wv, "_CHUNK", rows_per_block * max(widths))
+        # one wave per block, rows_per_block rows of the finest level per
+        # block, and as many or more of each coarser level
+        monkeypatch.setattr(wv, "_CHUNK", rows_per_block * padded)
         assert all(wv._CHUNK <= size for size in levels.sizes)
         blocked = wv._SupLevels(band, 8.0)
+        blocks, spectrum = [], blocked._spectrum
+
+        def spied(li, Ab):
+            n_rows, write = spectrum(li, Ab)
+            return n_rows, lambda out, r: blocks.append((li, out.shape[:2])) or write(out, r)
+
+        monkeypatch.setattr(blocked, "_spectrum", spied)
         got = blocked.batch_sups(A, use_abs)
+        finest = [shape for li, shape in blocks if li == len(row_lens) - 1]
+        assert max(finest) == (1, rows_per_block)
         assert np.array_equal(got[0], whole[0])
         assert np.array_equal(got[1], whole[1])
         for (at, vals), (want_at, want_vals) in zip(blocked._scan(A), whole_scan):
