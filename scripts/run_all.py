@@ -20,6 +20,7 @@ JOBS = [
     ("dudley", ["--lambda", "40", "--samples", "60", "--substrate", "8000"]),
     ("diameter", ["--kind", "sphere2", "--lambdas", "20,40"]),
     ("supnorm", ["--kind", "torus", "--lambdas", "20,40"]),
+    ("dudley", ["--kind", "torus", "--lambda", "10", "--samples", "60"]),
     ("diameter", ["--kind", "torus", "--lambdas", "20,40", "--substrate", "250000"]),
     ("covering", ["--lambda", "9", "--substrate", "8000"]),
     ("claim", []),

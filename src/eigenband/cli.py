@@ -335,10 +335,13 @@ def _run_dudley(cfg: ExperimentConfig):
     # the bound and the radii first: a bad lambda or epsilon ends the run before any sup
     bound = wv.sup_norm_bound(model, lam)
     emb, eps = _band_radii(cfg, model, 24.0)
+    t0 = time.perf_counter()
     signed, absolute = (wv.expected_sup(model, lam, cfg.samples, cfg.grid_density, cfg.seed,
                                         statistic=statistic) for statistic in ("max", "abs"))
+    t1 = time.perf_counter()
     curve = en.covering_curve(mf.quasi_uniform_grid(model, cfg.substrate),
                               em.CanonicalDistance(emb), eps)
+    t2 = time.perf_counter()
     report = en.dudley_report(curve)
     rows = [(e, n) for e, n in curve.entries]
     header = ("epsilon", "net_size")
@@ -354,7 +357,9 @@ def _run_dudley(cfg: ExperimentConfig):
                "level_peaks_signed": list(signed.level_peaks),
                "refine_gain_signed": signed.refine_gain,
                "level_peaks_abs": list(absolute.level_peaks),
-               "refine_gain_abs": absolute.refine_gain}
+               "refine_gain_abs": absolute.refine_gain,
+               "sup_seconds": t1 - t0, "curve_seconds": t2 - t1,
+               "peak_rss_mib": _peak_rss_mib()}
     flags = {"sup_below_dudley": bool(signed.mean <= report.bound),
              "sup_below_closed_form": bool(signed.mean <= bound.general),
              "abs_below_twice_signed": bool(absolute.mean <= abs_limit)}

@@ -35,7 +35,6 @@ class Mode:
     positive) and flavor "cos" or "sin".
     """
 
-    id: int
     mu: float
     label: tuple
 
@@ -150,11 +149,11 @@ def enumerate_band(model: ManifoldModel, lam: float) -> Band:
         for l in terms.tolist():
             mu = math.sqrt(l * (l + 1.0))
             for m in range(-l, l + 1):
-                modes.append(Mode(id=len(modes), mu=mu, label=(l, m)))
+                modes.append(Mode(mu=mu, label=(l, m)))
     else:
         for k, mu in zip(terms.tolist(), _torus_mu(model, terms).tolist()):
             for flavor in ("cos", "sin"):
-                modes.append(Mode(id=len(modes), mu=mu, label=(tuple(k), flavor)))
+                modes.append(Mode(mu=mu, label=(tuple(k), flavor)))
     mcount = len(modes)
     return Band(lam=float(lam), modes=tuple(modes), m_lambda=mcount,
                 k_lambda=k_lambda(mcount) if mcount else float("nan"),

@@ -55,10 +55,11 @@ the min min(min_N, -max_N), a folded extremum at its northern node's antipode.
 One scan of a level records each wave's max and min with their flat
 indices, and both statistics take their grid peaks from it: sup wave is
 the max, sup |wave| the extremum of larger magnitude. A tie keeps the
-lower flat index, and the northern node against its folded twin. A level
-object keeps the extrema of the last coefficient matrix it scanned, keyed
-on that matrix's exact shape and contents, so a second statistic of the
-same waves scans no grid again.
+lower flat index, and the northern node against its folded twin. Level
+objects keep no scans. The module's one piece of state, _LEVEL_CACHE, holds
+expected_sup's last level object, coefficient matrix and scan under that
+call's arguments, so a second statistic of the same waves scans no grid
+again; any other call empties it first, and sup_norm never touches it.
 """
 
 from __future__ import annotations
@@ -187,8 +188,8 @@ class _SupLevels:
     northern node; sizes count the whole grid), and torus last-axis rows
     from basis.torus_half_spectrum, with the modes' labels parsed once here.
     A spectrum keeps only its used columns.
-    The object keeps each level's extrema (four numbers per wave, no level
-    values) for the last matrix it scanned.
+    No attribute changes after __init__: scan returns the extrema, and
+    batch_sups refines from the scan it is given.
     """
 
     def __init__(self, band: Band, density: float):
@@ -220,7 +221,6 @@ class _SupLevels:
             self.sizes = [math.prod(c) for c in self.shapes]
             self._labels = bs.torus_labels(self.model, band.modes)
         self.grid_points = sum(self.sizes)
-        self._scanned = (None, None)
 
     def nodes(self, li: int, index) -> np.ndarray:
         """Coordinates of level li's grid nodes at the flat C-order index;
@@ -312,14 +312,9 @@ class _SupLevels:
             vals = np.where(take, flip, vals)
         return at, vals
 
-    def _scan(self, A: np.ndarray) -> list:
-        """Every level's extrema for the columns of A, from the last scan
-        when A has its exact shape, dtype and bytes."""
-        key = (A.shape, A.dtype.str, A.tobytes())
-        if self._scanned[0] != key:
-            self._scanned = key, [self._level_extrema(li, A)
-                                  for li in range(len(self.sizes))]
-        return self._scanned[1]
+    def scan(self, A: np.ndarray) -> list:
+        """Every level's extrema (four numbers per wave) for the columns of A."""
+        return [self._level_extrema(li, A) for li in range(len(self.sizes))]
 
     def _values_at(self, P: np.ndarray, V: np.ndarray, C: np.ndarray,
                    use_abs: bool) -> np.ndarray:
@@ -364,19 +359,18 @@ class _SupLevels:
             best[moving] = np.maximum(best[moving], vals.max(axis=1))
         return best
 
-    def batch_sups(self, A: np.ndarray, use_abs: bool = True):
+    def batch_sups(self, A: np.ndarray, scan: list, use_abs: bool = True):
         """Sups for the coefficient columns of A, and each level's grid peaks
-        (levels x waves); scan and refinement batched over the waves, and the
-        refinement over the levels too.
+        (levels x waves), from scan, the list self.scan(A) returned; the
+        refinement is batched over the waves and the levels.
 
         The grid peak is the max, or with use_abs the extremum of larger
-        magnitude, the lower flat index on a tie. The level scan is reused
-        when A equals the last scanned matrix; the refinement always runs.
+        magnitude, the lower flat index on a tie.
         """
         n_waves = A.shape[1]
         cols = np.arange(n_waves)
         peaks, points = [], []
-        for li, (at, vals) in enumerate(self._scan(A)):
+        for li, (at, vals) in enumerate(scan):
             row = 0
             if use_abs:
                 vals = np.abs(vals)
@@ -391,18 +385,8 @@ class _SupLevels:
         return sups, peaks
 
 
-def _levels_for(band: Band, density: float) -> _SupLevels:
-    # tiny keyed cache; bands are frozen and hashable
-    key = (band, float(density))
-    hit = _LEVEL_CACHE.get(key)
-    if hit is None:
-        hit = _SupLevels(band, density)
-        _LEVEL_CACHE[key] = hit
-        while len(_LEVEL_CACHE) > 4:
-            _LEVEL_CACHE.pop(next(iter(_LEVEL_CACHE)))
-    return hit
-
-
+# expected_sup's last (level object, coefficient matrix, scan), keyed on its
+# (model, lam, grid_density, seed, n_samples); at most one entry
 _LEVEL_CACHE: dict = {}
 
 
@@ -410,10 +394,12 @@ def sup_norm(wave: RandomWave, grid_density: float) -> float:
     """Max of |wave| over the grid ladder, refined around each level's peak.
 
     grid spacing at the requested density is at most (2 pi / lam_bar) /
-    grid_density; the result never decreases when grid_density grows.
+    grid_density; the result never decreases when grid_density grows. It
+    builds its own levels and leaves _LEVEL_CACHE as it is.
     """
-    levels = _levels_for(wave.band, grid_density)
-    sups, _ = levels.batch_sups(wave.coefficients[:, None], use_abs=True)
+    levels = _SupLevels(wave.band, grid_density)
+    A = wave.coefficients[:, None]
+    sups, _ = levels.batch_sups(A, levels.scan(A), use_abs=True)
     return float(sups[0])
 
 
@@ -426,21 +412,26 @@ def expected_sup(model: ManifoldModel, lam: float, n_samples: int,
     E sup wave without the absolute value. Waves are keyed by sample index,
     and the reduction runs in index order. workers is accepted for
     compatibility and has no effect: every wave is scanned and refined in
-    this thread. A call on the same waves as the last call with this band
-    and density (same seed and n_samples, either statistic) reuses that
-    call's level scan and runs only its own refinement.
+    this thread. A call with the last call's arguments, statistic and
+    workers aside, takes that call's level scan from _LEVEL_CACHE and runs
+    only its own refinement; any other call empties the cache first.
     """
     if n_samples < 2:
         raise ValueError(f"need n_samples >= 2, got {n_samples}")
     if statistic not in ("abs", "max"):
         raise ValueError(f"unknown statistic {statistic!r}")
-    band = enumerate_band(model, lam)
-    if band.m_lambda == 0:
-        raise ValueError(f"band at lambda={lam} is empty")
-    levels = _levels_for(band, grid_density)
-    A = np.stack([sample_wave(band, seed, i).coefficients
-                  for i in range(n_samples)], axis=1)
-    sups, peaks = levels.batch_sups(A, use_abs=statistic == "abs")
+    key = (model, float(lam), float(grid_density), seed, n_samples)
+    if key not in _LEVEL_CACHE:
+        _LEVEL_CACHE.clear()
+        band = enumerate_band(model, lam)
+        if band.m_lambda == 0:
+            raise ValueError(f"band at lambda={lam} is empty")
+        levels = _SupLevels(band, grid_density)
+        A = np.stack([sample_wave(band, seed, i).coefficients
+                      for i in range(n_samples)], axis=1)
+        _LEVEL_CACHE[key] = levels, A, levels.scan(A)
+    levels, A, scan = _LEVEL_CACHE[key]
+    sups, peaks = levels.batch_sups(A, scan, use_abs=statistic == "abs")
     return SupNormEstimate(mean=float(sups.mean()),
                            std_error=float(sups.std(ddof=1) / math.sqrt(n_samples)),
                            samples=n_samples, grid_points=levels.grid_points, lam=lam,

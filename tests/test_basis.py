@@ -120,7 +120,7 @@ def test_sphere_values_equal_per_order_route_across_degrees():
     # degrees 0..3 in one call, interleaved, with a repeated mode
     labels = [(l, m) for l in range(4) for m in range(-l, l + 1)]
     rng = np.random.default_rng(3)
-    modes = [sp.Mode(id=i, mu=0.0, label=labels[i]) for i in rng.permutation(len(labels))]
+    modes = [sp.Mode(mu=0.0, label=labels[i]) for i in rng.permutation(len(labels))]
     modes.append(modes[0])
     coords = _mixed_points(50, rng)
     assert np.array_equal(bs.mode_matrix(SPHERE, modes, coords), _per_order_values(modes, coords))
@@ -361,7 +361,7 @@ def test_sphere_gradients_equal_per_mode_route_across_degrees():
     # degrees 0..4 in one call, interleaved, with a repeated mode
     labels = [(l, m) for l in range(5) for m in range(-l, l + 1)]
     rng = np.random.default_rng(4)
-    modes = [sp.Mode(id=i, mu=0.0, label=labels[i]) for i in rng.permutation(len(labels))]
+    modes = [sp.Mode(mu=0.0, label=labels[i]) for i in rng.permutation(len(labels))]
     modes.append(modes[0])
     _assert_rows_equal_per_mode_route(modes, _mixed_points(9, rng))
 

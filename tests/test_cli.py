@@ -163,6 +163,9 @@ def test_band_curve_reports_traversal_counts(subcommand):
         sizes = [n for distance, _, n, _ in rows if distance == "d_lambda"]
     else:
         sizes = [n for _, n in rows]
+        # where dudley's time and memory went: both sups, then the curve
+        for key in ("sup_seconds", "curve_seconds", "peak_rss_mib"):
+            assert report.summary[key] >= 0.0
     insertions = report.summary["insertions"]
     assert insertions == max(sizes) > 1
     # one row over the live set per center, the first over the whole substrate

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -98,12 +99,17 @@ def test_expected_sup_statistics():
         wv.expected_sup(TORUS, 9.0, 12, 6.0, seed=5, statistic="median")
 
 
+def _sups(levels, A, use_abs=True):
+    # scan, then refine: the sups and grid peaks of the columns of A
+    return levels.batch_sups(A, levels.scan(A), use_abs)
+
+
 def test_batch_matches_individual():
     band = sp.enumerate_band(SPHERE, 12.0)
     waves = [wv.sample_wave(band, 9, i) for i in range(5)]
     singles = [wv.sup_norm(w, 6.0) for w in waves]
     A = np.stack([w.coefficients for w in waves], axis=1)
-    sups, _ = wv._levels_for(band, 6.0).batch_sups(A, use_abs=True)
+    sups, _ = _sups(wv._SupLevels(band, 6.0), A)
     assert np.array_equal(sups, singles)
     est = wv.expected_sup(SPHERE, 12.0, 5, 6.0, seed=9)
     assert est.mean == float(np.mean(singles))
@@ -187,13 +193,14 @@ def _scan_matches_mode_matrix_scan(model, lam, density, use_abs):
     band = sp.enumerate_band(model, lam)
     A = np.stack([wv.sample_wave(band, 21, i).coefficients for i in range(6)], axis=1)
     levels = wv._SupLevels(band, density)
-    got, peaks = levels.batch_sups(A, use_abs=use_abs)
+    scan = levels.scan(A)
+    got, peaks = levels.batch_sups(A, scan, use_abs)
     want, want_peaks, want_at = _brute_force_sups(levels, A, use_abs)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(peaks, want_peaks, rtol=1e-12, atol=0.0)
     assert peaks.shape == (len(levels.sizes), A.shape[1])
     assert np.all(got >= peaks.max(axis=0))
-    return levels, A, want_at
+    return levels, scan, want_at
 
 
 def _antipode(rings, index):
@@ -216,11 +223,11 @@ def test_torus_fft_scan_matches_mode_matrix_scan(sides, lam, density, use_abs):
 @pytest.mark.parametrize("lam,density", [(12.0, 6.0), (20.0, 4.0), (2.5, 6.0), (20.6, 4.0)])
 @pytest.mark.parametrize("use_abs", [True, False])
 def test_sphere_ring_scan_matches_mode_matrix_scan(lam, density, use_abs):
-    levels, A, want_at = _scan_matches_mode_matrix_scan(SPHERE, lam, density, use_abs)
+    levels, scan, want_at = _scan_matches_mode_matrix_scan(SPHERE, lam, density, use_abs)
     if not use_abs:
         # the scan covers the northern rings and unfolds the south: the max
         # sits at the full grid's argmax or at its antipode
-        for li, ((rings,), (at, _)) in enumerate(zip(levels.shapes, levels._scan(A))):
+        for li, ((rings,), (at, _)) in enumerate(zip(levels.shapes, scan)):
             assert np.all((at[0] == want_at[li]) | (at[0] == _antipode(rings, want_at[li])))
 
 
@@ -283,16 +290,32 @@ def test_torus_levels_keep_no_grids():
         before = tracemalloc.get_traced_memory()[0]
         levels = wv._SupLevels(band, 10.0)
         kept = tracemalloc.get_traced_memory()[0] - before
-        # the scan's extrema stay, four numbers per wave and level
-        levels.batch_sups(A)
+        # the caller keeps the scan's extrema, four numbers per wave and level
+        scan = levels.scan(A)
+        levels.batch_sups(A, scan)
         kept_after_scan = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert levels.grid_points > 400_000
     assert kept < 1 << 20
     assert kept_after_scan < 1 << 20
-    for at, vals in levels._scanned[1]:
+    for at, vals in scan:
         assert at.shape == vals.shape == (2, 12)
+
+
+@pytest.mark.parametrize("model,lam", [(SPHERE, 12.0), (SPHERE, 13.0), (TORUS, 9.0)])
+def test_levels_keep_no_state(model, lam):
+    # nothing in a level object changes after __init__: not the scan, not
+    # either statistic's refinement, not another matrix's scan
+    band = sp.enumerate_band(model, lam)
+    levels = wv._SupLevels(band, 8.0)
+    state = pickle.dumps(vars(levels))
+    for seed in (1, 2):
+        A = np.stack([wv.sample_wave(band, seed, i).coefficients for i in range(3)], axis=1)
+        scan = levels.scan(A)
+        for use_abs in (True, False):
+            levels.batch_sups(A, scan, use_abs)
+    assert pickle.dumps(vars(levels)) == state
 
 
 @pytest.mark.parametrize("model,lam", [(SPHERE, 160.0), (TORUS, 40.0)])
@@ -308,7 +331,7 @@ def test_level_scan_transient_is_bounded_by_the_chunk(model, lam):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        levels._scan(A)
+        levels.scan(A)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -370,13 +393,11 @@ def test_sphere_ring_scan_equals_complex_table_route(lam, use_abs, monkeypatch):
     levels = wv._SupLevels(band, 10.0)
     # two waves per block on the top level
     monkeypatch.setattr(wv, "_CHUNK", 2 * max(levels.sizes))
-    sups, peaks = levels.batch_sups(A, use_abs)
-    # a fresh level object, so that the scan of A is not reused
-    levels = wv._SupLevels(band, 10.0)
+    sups, peaks = _sups(levels, A, use_abs)
     oracle, called = _complex_table_spectrum(levels), []
     monkeypatch.setattr(levels, "_spectrum",
                         lambda li, Ab: called.append(li) or oracle(li, Ab))
-    want_sups, want_peaks = levels.batch_sups(A, use_abs)
+    want_sups, want_peaks = _sups(levels, A, use_abs)
     # every level's spectra came from the oracle
     assert sorted(set(called)) == list(range(len(levels.sizes)))
     assert np.array_equal(sups, want_sups)
@@ -397,11 +418,10 @@ def _wave_blocks_do_not_change_sups(model, lam, monkeypatch):
     levels = wv._SupLevels(band, 8.0)
     largest = max(levels.sizes)
     monkeypatch.setattr(wv, "_CHUNK", 7 * largest)
-    single, _ = levels.batch_sups(A)
-    # two waves per block on the finest level, more on the coarser ones, and
-    # a fresh level object, so that the scan of A is not reused
+    single, _ = _sups(levels, A)
+    # two waves per block on the finest level, more on the coarser ones
     monkeypatch.setattr(wv, "_CHUNK", 2 * largest)
-    blocked, _ = wv._SupLevels(band, 8.0).batch_sups(A)
+    blocked, _ = _sups(levels, A)
     assert np.array_equal(blocked, single)
 
 
@@ -423,9 +443,9 @@ def test_expected_sup_ladder_telemetry():
         assert max(est.level_peaks) + est.refine_gain <= est.mean + 1e-12
 
 
-def _cold_sup(model, lam, n_samples, seed, statistic):
+def _cold_sup(model, lam, n_samples, seed, statistic, density=6.0):
     wv._LEVEL_CACHE.clear()
-    return wv.expected_sup(model, lam, n_samples, 6.0, seed=seed, statistic=statistic)
+    return wv.expected_sup(model, lam, n_samples, density, seed=seed, statistic=statistic)
 
 
 def _counting_level_scans(monkeypatch):
@@ -473,26 +493,53 @@ def test_other_waves_are_scanned_again(model, lam, monkeypatch):
     wave = wv.sample_wave(sp.enumerate_band(model, lam), 5, 0)
     want = {"seed": _cold_sup(model, lam, 8, 6, "abs"),
             "samples": _cold_sup(model, lam, 9, 5, "abs"),
+            "density": _cold_sup(model, lam, 8, 5, "abs", density=8.0),
             "between": _cold_sup(model, lam, 8, 5, "abs")}
     wv._LEVEL_CACHE.clear()
     want_single = wv.sup_norm(wave, 6.0)
     scans = _counting_level_scans(monkeypatch)
     wv._LEVEL_CACHE.clear()
     got = {}
-    for key, (seed, n_samples) in {"seed": (6, 8), "samples": (5, 9)}.items():
+    for key, (seed, n_samples, density) in {"seed": (6, 8, 6.0), "samples": (5, 9, 6.0),
+                                            "density": (5, 8, 8.0)}.items():
         wv.expected_sup(model, lam, 8, 6.0, seed=5, statistic="max")
         del scans[:]
-        got[key] = wv.expected_sup(model, lam, n_samples, 6.0, seed=seed, statistic="abs")
+        got[key] = wv.expected_sup(model, lam, n_samples, density, seed=seed,
+                                   statistic="abs")
         assert len(scans) > 0
         assert all(unwritten == [0] for unwritten in scans)
+        # the cache holds the last call's scan alone
+        assert len(wv._LEVEL_CACHE) == 1
+    # sup_norm between the two statistics scans its own levels and leaves
+    # the cached scan in place, so the second statistic reuses it
     wv.expected_sup(model, lam, 8, 6.0, seed=5, statistic="max")
+    del scans[:]
     assert wv.sup_norm(wave, 6.0) == want_single
+    assert len(scans) > 0
     del scans[:]
     got["between"] = wv.expected_sup(model, lam, 8, 6.0, seed=5, statistic="abs")
-    assert len(scans) > 0
-    assert all(unwritten == [0] for unwritten in scans)
+    assert scans == []
     for key, est in got.items():
         assert dataclasses.asdict(est) == dataclasses.asdict(want[key])
+
+
+@pytest.mark.parametrize("model,lam", [(SPHERE, 13.0), (TORUS, 9.0)])
+def test_sup_norm_leaves_the_level_cache_alone(model, lam):
+    wave = wv.sample_wave(sp.enumerate_band(model, lam), 9, 3)
+    wv._LEVEL_CACHE.clear()
+    single = wv.sup_norm(wave, 6.0)
+    assert wv._LEVEL_CACHE == {}
+    est = wv.expected_sup(model, lam, 5, 6.0, seed=9)
+    (key, entry), = wv._LEVEL_CACHE.items()
+    assert key == (model, lam, 6.0, 9, 5)
+    assert wv.sup_norm(wave, 6.0) == single
+    (key_after, entry_after), = wv._LEVEL_CACHE.items()
+    assert key_after == key and entry_after is entry
+    # the wave's sup inside expected_sup, from the cached scan
+    levels, A, scan = entry
+    sups, _ = levels.batch_sups(A, scan, use_abs=True)
+    assert sups[3] == single
+    assert est.mean == float(sups.mean())
 
 
 @pytest.mark.parametrize("coefficient", [0.7, -0.7])
@@ -509,10 +556,10 @@ def test_abs_peak_tie_takes_the_lower_index(coefficient, monkeypatch):
     nodes = levels.nodes
     monkeypatch.setattr(levels, "nodes", lambda li, index: peaks.append(index) or
                         nodes(li, index))
-    _, level_peaks = levels.batch_sups(A, use_abs=True)
+    _, level_peaks = _sups(levels, A, use_abs=True)
     assert peaks[0][0] == np.abs(V).argmax() == min(V.argmax(), V.argmin())
     assert level_peaks[0, 0] == np.abs(V).max()
-    levels.batch_sups(A, use_abs=False)
+    _sups(levels, A, use_abs=False)
     assert peaks[1][0] == V.argmax()
 
 
@@ -541,7 +588,7 @@ def test_batched_refinement_equals_per_level_loop(model, lam, use_abs, monkeypat
         A = np.stack([wv.sample_wave(band, 17, i).coefficients for i in range(n_waves)],
                      axis=1)
         del calls[:]
-        sups, peaks = levels.batch_sups(A, use_abs)
+        sups, peaks = _sups(levels, A, use_abs)
         (P, f0, h, A_, _), = calls
         assert A_ is A
         batched = refined(P, f0, h, A, use_abs)
@@ -580,8 +627,9 @@ def test_row_blocks_equal_the_whole_level_scan(model, lam, A, use_abs, monkeypat
         A = np.stack([wv.sample_wave(band, 3, i).coefficients for i in range(5)], axis=1)
     levels = wv._SupLevels(band, 8.0)
     monkeypatch.setattr(wv, "_CHUNK", 1 << 40)
-    whole = levels.batch_sups(A, use_abs)
-    whole_scan = levels._scan(A)
+    whole_scan = levels.scan(A)
+    whole = levels.batch_sups(A, whole_scan, use_abs)
+    spectrum = levels._spectrum
     # a level's padded half row: of 2 N azimuths on a sphere of N rings, of
     # the last axis on a torus; the finest level's is the longest
     row_lens = [2 * shape[0] if model.kind == mf.SPHERE2 else shape[-1]
@@ -593,20 +641,20 @@ def test_row_blocks_equal_the_whole_level_scan(model, lam, A, use_abs, monkeypat
         # block, and as many or more of each coarser level
         monkeypatch.setattr(wv, "_CHUNK", rows_per_block * padded)
         assert all(wv._CHUNK <= size for size in levels.sizes)
-        blocked = wv._SupLevels(band, 8.0)
-        blocks, spectrum = [], blocked._spectrum
+        blocks = []
 
         def spied(li, Ab):
             n_rows, write = spectrum(li, Ab)
             return n_rows, lambda out, r: blocks.append((li, out.shape[:2])) or write(out, r)
 
-        monkeypatch.setattr(blocked, "_spectrum", spied)
-        got = blocked.batch_sups(A, use_abs)
+        monkeypatch.setattr(levels, "_spectrum", spied)
+        scan = levels.scan(A)
+        got = levels.batch_sups(A, scan, use_abs)
         finest = [shape for li, shape in blocks if li == len(row_lens) - 1]
         assert max(finest) == (1, rows_per_block)
         assert np.array_equal(got[0], whole[0])
         assert np.array_equal(got[1], whole[1])
-        for (at, vals), (want_at, want_vals) in zip(blocked._scan(A), whole_scan):
+        for (at, vals), (want_at, want_vals) in zip(scan, whole_scan):
             assert np.array_equal(at, want_at)
             assert np.array_equal(vals, want_vals)
 
@@ -648,9 +696,9 @@ def test_a_wave_sup_does_not_depend_on_its_batch(model, lam, use_abs):
     band = sp.enumerate_band(model, lam)
     levels = wv._SupLevels(band, 16.0)
     coeffs = [wv.sample_wave(band, 17, i).coefficients for i in range(9)]
-    sups, peaks = levels.batch_sups(np.stack(coeffs, axis=1), use_abs)
+    sups, peaks = _sups(levels, np.stack(coeffs, axis=1), use_abs)
     # as expected_sup and sup_norm build their coefficient matrices
     for cols in [slice(0, 8)] + [slice(i, i + 1) for i in range(9)]:
-        part_sups, part_peaks = levels.batch_sups(np.stack(coeffs[cols], axis=1), use_abs)
+        part_sups, part_peaks = _sups(levels, np.stack(coeffs[cols], axis=1), use_abs)
         assert np.array_equal(part_sups, sups[cols])
         assert np.array_equal(part_peaks, peaks[:, cols])
