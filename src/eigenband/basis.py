@@ -6,11 +6,11 @@ row's orthonormal frame of manifold.tangent_frame_rows. A row's values and
 gradients are the same bits in any batch: torus phases k.x add one axis at
 a time, and each sphere row meets its frame in a matrix product of its own.
 
-Sphere values climb the normalized Legendre recurrence for all orders of a
-degree at once, O(l) array steps per degree over blocks of points, with the
-arithmetic of specfun.assoc_legendre_upward for each order, so they equal
-that one-order route bit for bit. Sphere gradients still climb one order at
-a time through it.
+This module alone knows the fully normalized associated Legendre
+recurrence. Sphere values climb it for all orders of a degree at once,
+O(l) array steps per degree over blocks of points, with the arithmetic of
+the one-order climb _order_climb for each order, so they equal that route
+bit for bit. Sphere gradients still climb one order at a time through it.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import numpy as np
 
 from . import manifold as mf
 from .manifold import SPHERE2, ManifoldModel
-from .specfun import INV_SQRT_4PI, assoc_legendre_upward
 from .spectrum import Band, torus_frequencies
 
 __all__ = [
@@ -34,10 +33,30 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+_INV_SQRT_4PI = 0.5 / math.sqrt(math.pi)
 
 
 # ---------------------------------------------------------------------------
 # normalized associated Legendre rows, vectorized over points
+
+
+def _order_climb(l: int, m: int, t, seed):
+    """Climb the degree recurrence of N_k^m P_k^m(t) from the diagonal value
+    seed at k = m; returns the values at degrees l and l - 1 (zero when l = m).
+
+    N_k^m = sqrt((2k+1)/(4 pi) (k-m)!/(k+m)!), so the real spherical
+    harmonics assembled from these values are L2-orthonormal on the unit
+    sphere; there is no Condon-Shortley phase.
+    """
+    if l == m:
+        return seed, np.zeros_like(seed)
+    p_prev = seed
+    p = math.sqrt(2 * m + 3.0) * t * p_prev
+    for k in range(m + 2, l + 1):
+        a = math.sqrt((4.0 * k * k - 1.0) / (k * k - m * m))
+        b = math.sqrt(((k - 1.0) ** 2 - m * m) / (4.0 * (k - 1.0) ** 2 - 1.0))
+        p, p_prev = a * (t * p - b * p_prev), p
+    return p, p_prev
 
 
 # The value climb takes the points in blocks, and its working set is about
@@ -56,8 +75,8 @@ def _climb_block(l: int) -> int:
 
 
 def _climb_coefficients(l: int):
-    """The factors of specfun.assoc_legendre_upward and of its diagonal seed,
-    for all orders of degree l at once.
+    """The factors of _order_climb and of its diagonal seed, for all orders
+    of degree l at once.
 
     Returns the diagonal factors sqrt((2m+1)/(2m)) for m = 1..l, the first
     step's sqrt(2m+3) for m = 0..l-1, and for each step k = 2..l the columns
@@ -100,12 +119,12 @@ def _degree_value_rows(l: int, t: np.ndarray, s: np.ndarray, coefficients) -> np
     before it. Order m enters before any step reads it: its diagonal in
     buffer -m mod 3 and its first step sqrt(2m+3) t diag in buffer
     -(m+1) mod 3, rows that no earlier step writes. Each order so sees
-    specfun.assoc_legendre_upward's arithmetic in its operation order, and
-    the rows equal that route's bit for bit, in O(l) steps.
+    _order_climb's arithmetic in its operation order, and the rows equal
+    that route's bit for bit, in O(l) steps.
     """
     diagonal, first, steps = coefficients
     chain = np.empty((2 * l + 1, t.size))
-    chain[0] = INV_SQRT_4PI
+    chain[0] = _INV_SQRT_4PI
     chain[1::2] = diagonal
     chain[2::2] = s
     diag = np.multiply.accumulate(chain, axis=0, out=chain)[::2]
@@ -137,11 +156,11 @@ def _degree_gradient_rows(l: int, t: np.ndarray, s: np.ndarray):
     """
     dtheta = np.zeros((l + 1, t.size))
     over_s = np.zeros((l + 1, t.size))
-    diag = np.full(t.size, INV_SQRT_4PI * math.sqrt(3.0 / 2.0))
+    diag = np.full(t.size, _INV_SQRT_4PI * math.sqrt(3.0 / 2.0))
     for m in range(1, l + 1):
         if m > 1:
             diag = diag * math.sqrt((2 * m + 1) / (2.0 * m)) * s
-        r_l, r_lm1 = assoc_legendre_upward(l, m, t, diag)
+        r_l, r_lm1 = _order_climb(l, m, t, diag)
         c = math.sqrt((l * l - m * m) * (2.0 * l + 1.0) / (2.0 * l - 1.0)) if l > m else 0.0
         dtheta[m] = l * t * r_l - c * r_lm1
         over_s[m] = r_l

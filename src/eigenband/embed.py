@@ -23,7 +23,7 @@ import numpy as np
 from . import basis as bs
 from . import manifold as mf
 from .manifold import SPHERE2, ManifoldModel, Point
-from .spectrum import (Band, band_terms, enumerate_band, k_lambda, mean_frequency,
+from .spectrum import (Band, band_modes, band_terms, enumerate_band, mean_frequency,
                        torus_frequencies)
 from .specfun import legendre_weighted_sum, radial_profile
 
@@ -32,7 +32,6 @@ __all__ = [
     "MetricTensor",
     "ProfilePoint",
     "CanonicalDistance",
-    "k_lambda",
     "make_embedding",
     "phi",
     "band_kernel",
@@ -120,6 +119,12 @@ def _pole_kernel(embedding: Embedding, theta: np.ndarray) -> np.ndarray:
     return legendre_weighted_sum(embedding.terms, np.cos(theta))
 
 
+def _mode_sum(model: ManifoldModel, modes, xc: np.ndarray, yc: np.ndarray) -> float:
+    """sum_j phi_j(x) phi_j(y) over modes: the mode_matrix rows at x and y, dotted."""
+    vals = bs.mode_matrix(model, modes, np.stack([xc, yc]))
+    return float(vals[0] @ vals[1])
+
+
 def band_kernel(embedding: Embedding, x: Point, y: Point, method: str = "fast") -> float:
     """Band projector kernel E(x, y) = sum over the band of phi_j(x) phi_j(y)."""
     model = embedding.model
@@ -128,8 +133,7 @@ def band_kernel(embedding: Embedding, x: Point, y: Point, method: str = "fast") 
     if method == "fast":
         return float(_kernel(model, embedding.terms, xc, yc[None, :])[0])
     if method == "naive":
-        vals = bs.mode_matrix(model, embedding.band.modes, np.stack([xc, yc]))
-        return float(vals[0] @ vals[1])
+        return _mode_sum(model, embedding.band.modes, xc, yc)
     raise ValueError(f"unknown kernel method {method!r}")
 
 
@@ -142,19 +146,9 @@ def cumulative_kernel(model: ManifoldModel, lam: float, x: Point, y: Point,
     yc = mf.check_point(model, y)
     if method == "fast":
         return float(_kernel(model, _kernel_terms(model, 0.0, lam), xc, yc[None, :])[0])
-    if method != "naive":
-        raise ValueError(f"unknown kernel method {method!r}")
-    if model.kind == SPHERE2:
-        total = 0.0
-        for l in band_terms(model, 0.0, lam).tolist():
-            emb = make_embedding(model, math.sqrt(l * (l + 1.0)) - 0.5)
-            assert {m.label[0] for m in emb.band.modes} == {l}
-            total += band_kernel(emb, x, y, method="naive")
-        return total
-    W = _kernel_terms(model, 0.0, lam)
-    px, py = W @ xc, W @ yc
-    return float((2.0 / model.volume)
-                 * (np.cos(px) * np.cos(py) + np.sin(px) * np.sin(py)).sum())
+    if method == "naive":
+        return _mode_sum(model, band_modes(model, 0.0, lam), xc, yc)
+    raise ValueError(f"unknown kernel method {method!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -179,11 +179,7 @@ def uniform_sample_rows(model: ManifoldModel, stream: np.random.Generator,
                         count: int) -> np.ndarray:
     """count successive uniform_sample draws from stream, as coordinate rows."""
     if model.kind != SPHERE2:
-        L = np.array(model.side_lengths)
-        rows = np.empty((count, model.dim))
-        for row in rows:
-            row[:] = stream.uniform(0.0, 1.0, size=model.dim) * L
-        return rows
+        return stream.uniform(0.0, 1.0, size=(count, model.dim)) * np.array(model.side_lengths)
     rows = np.empty((count, 3))
     for row in rows:
         v = stream.standard_normal(3)

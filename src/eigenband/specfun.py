@@ -1,9 +1,9 @@
 """Double precision special functions used everywhere else.
 
-Legendre polynomials, fully normalized associated Legendre values, and
-the radial kernel profiles Lambda_n with Lambda_n(0) = 1.
-All functions are pure and accept scalars; legendre_weighted_sum,
-assoc_legendre_normalized and radial_profile also broadcast over ndarrays.
+Weighted sums of Legendre polynomials, and the radial kernel profiles
+Lambda_n with Lambda_n(0) = 1. Both functions are pure and take scalars or
+ndarrays. The associated Legendre values of the sphere basis climb their
+own recurrence in basis.
 """
 
 from __future__ import annotations
@@ -14,12 +14,8 @@ import numpy as np
 
 __all__ = [
     "legendre_weighted_sum",
-    "assoc_legendre_upward",
-    "assoc_legendre_normalized",
     "radial_profile",
 ]
-
-INV_SQRT_4PI = 0.5 / math.sqrt(math.pi)
 
 
 def _check_t(t):
@@ -56,43 +52,6 @@ def legendre_weighted_sum(weights, t):
             if weights[k + 1] != 0.0:
                 acc += weights[k + 1] * p
     return float(acc) if arr.ndim == 0 else acc
-
-
-def assoc_legendre_upward(l: int, m: int, t, seed):
-    """Climb the degree recurrence of N_k^m P_k^m(t) from the diagonal value
-    seed at k = m; returns the values at degrees l and l - 1 (zero when l = m)."""
-    if l == m:
-        return seed, np.zeros_like(seed)
-    p_prev = seed
-    p = math.sqrt(2 * m + 3.0) * t * p_prev
-    for k in range(m + 2, l + 1):
-        a = math.sqrt((4.0 * k * k - 1.0) / (k * k - m * m))
-        b = math.sqrt(((k - 1.0) ** 2 - m * m) / (4.0 * (k - 1.0) ** 2 - 1.0))
-        p, p_prev = a * (t * p - b * p_prev), p
-    return p, p_prev
-
-
-def assoc_legendre_normalized(l: int, m: int, t):
-    """Fully normalized associated Legendre value N_l^m P_l^m(t).
-
-    N_l^m = sqrt((2l+1)/(4 pi) (l-m)!/(l+m)!), so the real spherical
-    harmonics assembled from these values are L2-orthonormal on the unit
-    sphere. No Condon-Shortley phase. Stable diagonal-then-upward
-    recurrence in l; t may be a scalar or an ndarray.
-    """
-    if l != int(l) or m != int(m) or l < 0:
-        raise ValueError(f"need integer degree/order, got l={l} m={m}")
-    l, m = int(l), int(m)
-    if m < 0 or m > l:
-        raise ValueError(f"order must satisfy 0 <= m <= l, got l={l} m={m}")
-    arr = _check_t(t)
-    s = np.sqrt(np.maximum(0.0, 1.0 - arr * arr))
-    # diagonal: pbar_{m,m}
-    p = np.full_like(arr, INV_SQRT_4PI)
-    for j in range(1, m + 1):
-        p = p * math.sqrt((2 * j + 1) / (2.0 * j)) * s
-    p, _ = assoc_legendre_upward(l, m, arr, p)
-    return float(p) if arr.ndim == 0 else p
 
 
 def _bessel_j0(x):

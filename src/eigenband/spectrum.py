@@ -20,6 +20,7 @@ __all__ = [
     "k_lambda",
     "torus_frequencies",
     "band_terms",
+    "band_modes",
     "enumerate_band",
     "eigenvalue_count",
     "mean_frequency",
@@ -139,11 +140,11 @@ def band_terms(model: ManifoldModel, lo: float, hi: float) -> np.ndarray:
     raise ValueError(f"unknown manifold kind {model.kind!r}")
 
 
-def enumerate_band(model: ManifoldModel, lam: float) -> Band:
-    """All modes with mu in (lam, lam+1], in a deterministic order."""
-    if not (lam >= 0):
-        raise ValueError(f"band parameter must be >= 0, got {lam}")
-    terms = band_terms(model, lam, lam + 1.0)
+def band_modes(model: ManifoldModel, lo: float, hi: float) -> tuple[Mode, ...]:
+    """The modes of the band_terms in (lo, hi], in a deterministic order:
+    orders m = -l..l of each sphere degree, a cos then a sin mode of each
+    torus lattice vector."""
+    terms = band_terms(model, lo, hi)
     modes: list[Mode] = []
     if model.kind == SPHERE2:
         for l in terms.tolist():
@@ -154,8 +155,16 @@ def enumerate_band(model: ManifoldModel, lam: float) -> Band:
         for k, mu in zip(terms.tolist(), _torus_mu(model, terms).tolist()):
             for flavor in ("cos", "sin"):
                 modes.append(Mode(mu=mu, label=(tuple(k), flavor)))
+    return tuple(modes)
+
+
+def enumerate_band(model: ManifoldModel, lam: float) -> Band:
+    """All modes with mu in (lam, lam+1], in a deterministic order."""
+    if not (lam >= 0):
+        raise ValueError(f"band parameter must be >= 0, got {lam}")
+    modes = band_modes(model, lam, lam + 1.0)
     mcount = len(modes)
-    return Band(lam=float(lam), modes=tuple(modes), m_lambda=mcount,
+    return Band(lam=float(lam), modes=modes, m_lambda=mcount,
                 k_lambda=k_lambda(mcount) if mcount else float("nan"),
                 model=model)
 

@@ -23,7 +23,6 @@ import eigenband
 from eigenband import basis as bs
 from eigenband import embed as em
 from eigenband import manifold as mf
-from eigenband import specfun as sf
 from eigenband import spectrum as sp
 
 SPHERE = mf.sphere2()
@@ -68,7 +67,7 @@ def test_value_addition_theorem():
 
 def _per_order_values(modes, coords):
     """The sphere mode matrix one order at a time: the diagonal seed by its
-    running product, then specfun.assoc_legendre_upward, then the azimuthal
+    running product, then basis._order_climb, then the azimuthal
     factor, in the operation order of the value route before the all-orders
     climb."""
     t, s, phi = bs._sphere_angles(coords)
@@ -77,10 +76,10 @@ def _per_order_values(modes, coords):
     for j, mode in enumerate(modes):
         l, m = mode.label
         if (l, abs(m)) not in rows:
-            diag = np.full(len(coords), sf.INV_SQRT_4PI)
+            diag = np.full(len(coords), bs._INV_SQRT_4PI)
             for i in range(1, abs(m) + 1):
                 diag = diag * math.sqrt((2 * i + 1) / (2.0 * i)) * s
-            rows[l, abs(m)] = sf.assoc_legendre_upward(l, abs(m), t, diag)[0]
+            rows[l, abs(m)] = bs._order_climb(l, abs(m), t, diag)[0]
         row = rows[l, abs(m)]
         if m == 0:
             out[:, j] = row
@@ -128,17 +127,18 @@ def test_sphere_values_equal_per_order_route_across_degrees():
 
 @pytest.mark.parametrize("lam", [9.0, 40.0, 80.0])
 def test_sphere_values_match_normalized_legendre(lam):
-    # the independent one-order route, at azimuth 0 where a cos column is
-    # sqrt(2) Pbar_l^m; points built from t so both routes see the same sin
+    # scipy's normalized Legendre values, at azimuth 0 where a cos column is
+    # sqrt(2) Pbar_l^m; points built from theta, the angle scipy takes
     band = sp.enumerate_band(SPHERE, lam)
-    t = np.cos((np.arange(97) + 0.5) * (math.pi / 97))
+    theta = (np.arange(97) + 0.5) * (math.pi / 97)
+    t = np.cos(theta)
     coords = np.stack([np.sqrt(1.0 - t * t), np.zeros_like(t), t], axis=1)
     V = bs.mode_matrix(SPHERE, band.modes, coords)
     for j, mode in enumerate(band.modes):
         l, m = mode.label
         if m < 0:
             continue
-        ref = sf.assoc_legendre_normalized(l, m, t) * (1.0 if m == 0 else math.sqrt(2.0))
+        ref = np.array([_scipy_real_harmonic(l, m, a, 0.0) for a in theta])
         assert np.max(np.abs(V[:, j] - ref)) <= 1e-12 * np.max(np.abs(ref)), mode.label
 
 
@@ -299,7 +299,7 @@ def test_gradients_match_finite_differences(model, lam):
 
 def _per_mode_gradients(modes, x):
     """Sphere gradient_matrix one mode at a time: each order's diagonal seed
-    at sin^(m-1) by its running product, specfun.assoc_legendre_upward, the
+    at sin^(m-1) by its running product, basis._order_climb, the
     d/dtheta and over-sine rows, the azimuthal factors and the ambient
     frame, in the operation order of the per-mode assembly before the label
     arrays, then the tangent frame."""
@@ -309,10 +309,10 @@ def _per_mode_gradients(modes, x):
     e_phi = np.stack([-sphi, cphi, np.zeros_like(phi)], axis=1)
 
     def over_sine(l, m):
-        diag = np.full(1, sf.INV_SQRT_4PI * math.sqrt(3.0 / 2.0))
+        diag = np.full(1, bs._INV_SQRT_4PI * math.sqrt(3.0 / 2.0))
         for i in range(2, m + 1):
             diag = diag * math.sqrt((2 * i + 1) / (2.0 * i)) * s
-        return sf.assoc_legendre_upward(l, m, t, diag)
+        return bs._order_climb(l, m, t, diag)
 
     out = np.zeros((len(modes), 3))
     for j, mode in enumerate(modes):

@@ -65,6 +65,17 @@ def test_cumulative_kernel_torus_two_routes():
     assert fast == pytest.approx(naive, abs=1e-12)
 
 
+@pytest.mark.parametrize("model", [SPHERE, TORUS, mf.flat_torus((3.0,))],
+                         ids=["sphere", "torus", "torus1"])
+@pytest.mark.parametrize("lam", [3.0, 10.0, 25.0])
+def test_cumulative_kernel_routes_agree(model, lam):
+    X, Y = _pairs(model, 5, 41)
+    for x, y in zip(X, Y):
+        fast = em.cumulative_kernel(model, lam, x, y)
+        naive = em.cumulative_kernel(model, lam, x, y, method="naive")
+        assert fast == pytest.approx(naive, abs=1e-12)
+
+
 @pytest.mark.parametrize("model,lam", [(SPHERE, 9.0), (TORUS, 5.0)])
 def test_distance_two_routes(model, lam):
     emb = em.make_embedding(model, lam)

@@ -1,9 +1,10 @@
-"""No module of the package reads another module's underscore names, the
-modules that work on coordinate rows name no Point, and no function keeps
-hidden state.
+"""No module of the package reads another module's underscore names, each
+module lists in __all__ only what it defines, the modules that work on
+coordinate rows name no Point, and no function keeps hidden state.
 
 Each module's private helpers are its own; a shared quantity gets a
-public function in the module that owns it. Points are checked and
+public function in the module that owns it, and only that module exports
+it (the package __init__ gathers the public names). Points are checked and
 unwrapped at the public edge, so basis, entropy, specfun, spectrum and
 waves see only coordinate arrays. The one piece of module state a
 function may change is waves._LEVEL_CACHE, and nothing is memoized by
@@ -70,6 +71,42 @@ def test_no_cross_module_private_reads():
         if found:
             offenders[path.name] = found
     assert offenders == {}
+
+
+def reexports(source: str) -> list[str]:
+    """Every name of source's module-level __all__ that no module-level def,
+    class or assignment of source binds."""
+    tree = ast.parse(source)
+    defined, listed = set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            names = {t.id for target in targets for t in ast.walk(target)
+                     if isinstance(t, ast.Name)}
+            defined |= names
+            if "__all__" in names:
+                listed = [e.value for e in node.value.elts]
+    return [name for name in listed if name not in defined]
+
+
+def test_reexport_checker_sees_every_form():
+    src = ("from .spectrum import k_lambda\n"
+           "import math as pi\n"
+           "__all__ = ['f', 'K', 'C', 'D', 'k_lambda', 'pi', 'missing']\n"
+           "def f():\n"
+           "    g = 1\n"
+           "    return g\n"
+           "class K:\n"
+           "    h = 2\n"
+           "C, (D, E) = 1, (2, 3)\n")
+    assert reexports(src) == ["k_lambda", "pi", "missing"]
+
+
+def test_all_lists_only_own_names():
+    found = {path.stem: reexports(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}
 
 
 # modules that work on coordinate rows only: Points stay at the public edge

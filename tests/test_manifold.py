@@ -89,14 +89,37 @@ def test_uniform_sample_on_model():
     assert tp[:, 1].min() >= 0 and tp[:, 1].max() < 1.5 * math.pi
 
 
-@pytest.mark.parametrize("model", [SPHERE, TORUS], ids=["sphere", "torus"])
+def _draws(model, stream, count):
+    """count draws written out one at a time: on the sphere a standard normal
+    3-vector, drawn again while its norm is below 1e-12, over its norm; on a
+    torus dim uniforms on [0, 1) times the side lengths."""
+    rows = []
+    for _ in range(count):
+        if model.kind == mf.SPHERE2:
+            v = stream.standard_normal(3)
+            while float(np.linalg.norm(v)) < 1e-12:
+                v = stream.standard_normal(3)
+            rows.append(v / np.linalg.norm(v))
+        else:
+            rows.append(stream.uniform(0.0, 1.0, model.dim) * np.array(model.side_lengths))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("model", [SPHERE, TORUS, mf.flat_torus((2.5,)),
+                                   mf.flat_torus((1.0, 2.0, 3.7))],
+                         ids=["sphere", "torus", "torus1", "torus3"])
 @pytest.mark.parametrize("seed", [3, 8])
 @pytest.mark.parametrize("count", [1, 1000])
 def test_uniform_sample_rows_are_successive_draws(model, seed, count):
-    rng = np.random.Generator(np.random.Philox(seed))
+    def stream():
+        return np.random.Generator(np.random.Philox(seed))
+
+    want = _draws(model, stream(), count)
+    rows = mf.uniform_sample_rows(model, stream(), count)
+    rng = stream()
     loop = np.stack([mf.uniform_sample(model, rng).coords for _ in range(count)])
-    rows = mf.uniform_sample_rows(model, np.random.Generator(np.random.Philox(seed)), count)
-    assert np.array_equal(rows, loop)
+    assert np.array_equal(rows, want)
+    assert np.array_equal(loop, want)
 
 
 def test_quasi_uniform_grid():

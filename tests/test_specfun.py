@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.special import eval_legendre, j0
 
+from eigenband import basis as bs
+from eigenband import manifold as mf
 from eigenband import specfun as sf
+from eigenband import spectrum as sp
 
 
 def _legendre(l, t):
@@ -57,35 +60,35 @@ def test_legendre_weighted_sum_validates():
         sf.legendre_weighted_sum([1.0, 2.0], 1.5)
 
 
+def _assoc_legendre(l, m, t):
+    """Fully normalized Pbar_l^m(t), no Condon-Shortley phase: the sphere
+    basis column (l, m) at azimuth 0, which is sqrt(2) Pbar_l^m for m > 0."""
+    arr = np.atleast_1d(np.asarray(t, dtype=float))
+    coords = np.stack([np.sqrt(1.0 - arr * arr), np.zeros_like(arr), arr], axis=1)
+    vals = bs.mode_matrix(mf.sphere2(), [sp.Mode(mu=0.0, label=(l, m))], coords)[:, 0]
+    vals = vals / (math.sqrt(2.0) if m else 1.0)
+    return float(vals[0]) if np.ndim(t) == 0 else vals
+
+
 def test_assoc_legendre_frozen():
     # sympy Rodrigues formula, fully normalized, no Condon-Shortley
-    assert sf.assoc_legendre_normalized(5, 3, 0.3) == pytest.approx(
-        -0.05705860367830125, abs=1e-14)
-    assert sf.assoc_legendre_normalized(12, 7, -0.514) == pytest.approx(
-        0.2873287067332078, abs=1e-13)
+    assert _assoc_legendre(5, 3, 0.3) == pytest.approx(-0.05705860367830125, abs=1e-14)
+    assert _assoc_legendre(12, 7, -0.514) == pytest.approx(0.2873287067332078, abs=1e-13)
 
 
 def test_assoc_legendre_m0_reduces_to_legendre():
     t = np.linspace(-1, 1, 9)
     for l in (0, 3, 11):
         scale = math.sqrt((2 * l + 1) / (4 * math.pi))
-        assert np.allclose(sf.assoc_legendre_normalized(l, 0, t),
-                           scale * _legendre(l, t), atol=1e-13)
+        assert np.allclose(_assoc_legendre(l, 0, t), scale * _legendre(l, t), atol=1e-13)
 
 
 def test_assoc_legendre_norm_integral():
     # 2 pi int_{-1}^{1} Pbar^2 dt = 1 for each (l, m)
     nodes, weights = np.polynomial.legendre.leggauss(200)
     for l, m in ((3, 2), (10, 0), (25, 25), (40, 17)):
-        vals = sf.assoc_legendre_normalized(l, m, nodes)
+        vals = _assoc_legendre(l, m, nodes)
         assert 2 * math.pi * float(weights @ vals ** 2) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_assoc_legendre_domain():
-    with pytest.raises(ValueError):
-        sf.assoc_legendre_normalized(3, 4, 0.0)
-    with pytest.raises(ValueError):
-        sf.assoc_legendre_normalized(3, -1, 0.0)
 
 
 def test_radial_profile_n2_is_j0():

@@ -152,7 +152,17 @@ def test_eigenvalue_count_torus_brute():
         assert sp.eigenvalue_count(TORUS, lam) == _torus_lattice_brute(TORUS, 0.0, lam)
 
 
-def test_band_ids_and_model():
+@pytest.mark.parametrize("model", [SPHERE, TORUS, mf.flat_torus((3.0,)),
+                                   mf.flat_torus((2.0, 3.0, 4.0))],
+                         ids=["sphere", "torus", "torus1", "torus3"])
+def test_band_modes_count_the_spectrum(model):
+    # the modes in (0, lam] are N(lam), and a band's are those in its window
+    for lam in (3.0, 10.0):
+        assert len(sp.band_modes(model, 0.0, lam)) == sp.eigenvalue_count(model, lam)
+        assert sp.band_modes(model, lam, lam + 1.0) == sp.enumerate_band(model, lam).modes
+
+
+def test_band_model_and_k_lambda():
     band = sp.enumerate_band(SPHERE, 12.0)
     assert band.model == SPHERE
     assert band.k_lambda == pytest.approx(sp.k_lambda(band.m_lambda))
